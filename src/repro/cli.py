@@ -45,7 +45,7 @@ import sys
 from . import api
 from .compilers import CompilerSpec, compile_minic
 from .core.bisect import bisect_marker_regression
-from .core.corpus import CampaignProgress, run_campaign
+from .core.corpus import run_campaign
 from .core.markers import MARKER_PREFIX, instrument_program
 from .core.stats import format_table, pct
 from .frontend.typecheck import check_program
@@ -59,6 +59,7 @@ from .observability import (
     JsonlEventWriter,
     LiveDashboard,
     MetricsRegistry,
+    ProgressPrinter,
     RunLedger,
     Tracer,
     compare_runs,
@@ -508,17 +509,6 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _print_progress(snapshot: CampaignProgress) -> None:
-    done = snapshot.completed + snapshot.skipped
-    status = "skipped" if snapshot.skipped_seed else "ok"
-    print(
-        f"[{done}/{snapshot.total}] seed {snapshot.seed}: {status} "
-        f"({snapshot.programs_per_sec:.2f} programs/sec, "
-        f"{snapshot.elapsed:.1f}s elapsed)",
-        file=sys.stderr,
-    )
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -771,11 +761,10 @@ def _campaign(
         MetricsRegistry()
         if (metrics_out or ledger_path or store_path) else None
     )
-    progress = _print_progress if show_progress else None
     if jobs == 0:
         jobs = os.cpu_count() or 1
     events = writer = None
-    if events_out or dashboard:
+    if events_out or dashboard or show_progress:
         events = EventBus()
     if events_out:
         writer = JsonlEventWriter(events_out)
@@ -783,6 +772,8 @@ def _campaign(
     if dashboard:
         # stderr so `campaign ... > result` stays machine-clean
         LiveDashboard(sys.stderr, metrics=metrics).attach(events)
+    if show_progress:
+        ProgressPrinter(sys.stderr).attach(events)
     store = None
     if store_path:
         from .store import open_store
@@ -813,7 +804,7 @@ def _campaign(
     try:
         result = run_campaign(
             n_programs=n_programs, seed_base=seed_base,
-            metrics=metrics, progress=progress, jobs=jobs,
+            metrics=metrics, jobs=jobs,
             incremental=incremental, seed_budget=seed_budget,
             checkpoint=checkpoint, events=events, interp=interp,
             window=window, reduction=reduction, store=store,

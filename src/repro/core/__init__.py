@@ -12,7 +12,14 @@ from .artifact import (
 )
 from .bisect import BisectionResult, bisect_marker_regression, bisect_versions
 from .case_studies import CASE_STUDIES, CaseStudy, case_study, verify_case_study
-from .corpus import CampaignResult, analyze_one, default_specs, run_campaign
+from .corpus import (
+    CampaignConfig,
+    CampaignResult,
+    analyze_one,
+    config_fingerprint,
+    default_specs,
+    run_campaign,
+)
 from .differential import (
     MarkerOutcome,
     ProgramAnalysis,
@@ -56,6 +63,7 @@ __all__ = [
     "load_program",
     "signature_of",
     "validate_corpus",
+    "CampaignConfig",
     "CampaignResult",
     "CaseStudy",
     "GroundTruth",
@@ -79,6 +87,7 @@ __all__ = [
     "build_marker_graph",
     "case_study",
     "compute_ground_truth",
+    "config_fingerprint",
     "default_specs",
     "instrument_program",
     "instrument_value_checks",

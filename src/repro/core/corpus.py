@@ -4,16 +4,25 @@ Generates a corpus of random programs, instruments them, computes
 ground truth, compiles each program under every compiler spec of
 interest, and accumulates the statistics behind the paper's Tables 1
 and 2 and the §4.1/§4.2 headline numbers.
+
+One seed loop (:func:`run_campaign`) drives every campaign.  It walks
+the seed range in order; journaled and stored seeds replay, and fresh
+seeds arrive as :class:`SeedEnvelope`\\ s from an envelope source — an
+in-process generator at ``jobs=1``, the bounded-window process pool of
+:mod:`repro.core.parallel` at ``jobs>1`` — so both job counts share
+the journal, store, event and merge code verbatim.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterator
 
 from ..compilers import FAMILIES, LEVELS, CompilerSpec
 from ..frontend.typecheck import check_program
@@ -44,6 +53,55 @@ def default_specs(version: int | None = None) -> list[CompilerSpec]:
         for family in FAMILIES
         for level in LEVELS
     ]
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """The plain-data arguments of :func:`run_campaign`: built once per
+    campaign, shipped to pool workers, and hashed by
+    :func:`config_fingerprint`."""
+
+    n_programs: int = 50
+    seed_base: int = 0
+    version: int | None = None
+    generator_config: GeneratorConfig | None = None
+    compare_level: str = "O3"
+    incremental: bool = True
+    seed_budget: float | None = None
+    #: ground-truth interpreter backend (None = process default)
+    interp: str | None = None
+    keep_analyses: bool = False
+    jobs: int = 1
+    #: parallel scheduler in-flight shard cap (None = ``jobs * 3``)
+    window: int | None = None
+
+    @property
+    def seeds(self) -> range:
+        return range(self.seed_base, self.seed_base + self.n_programs)
+
+
+def config_fingerprint(config: CampaignConfig) -> str:
+    """A short stable hash of everything that determines a campaign's
+    results.  ``jobs``, the scheduler ``window``, and the ``interp``
+    backend are deliberately excluded: results are bit-identical under
+    any of them, so reruns at different parallelism or on the AST
+    cross-check interpreter share the fingerprint (and ``compare``
+    treats them as the same campaign)."""
+    generator_config = config.generator_config
+    payload = {
+        "n_programs": config.n_programs,
+        "seed_base": config.seed_base,
+        "version": config.version,
+        "generator_config": (
+            asdict(generator_config) if generator_config is not None else None
+        ),
+        "compare_level": config.compare_level,
+        "incremental": config.incremental,
+    }
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+    return digest[:16]
 
 
 @dataclass
@@ -139,25 +197,78 @@ class CampaignResult:
 
 
 @dataclass
-class CampaignProgress:
-    """A per-program progress snapshot handed to ``progress`` callbacks."""
+class SeedEnvelope:
+    """Everything one fresh analysis says about one seed, picklable so
+    pool workers can ship it to the parent."""
 
     seed: int
-    completed: int  # programs analyzed so far (excluding skips)
-    #: programs that produced no outcome so far (step-limit skips,
-    #: budget-exceeded seeds, and contained crashes)
-    skipped: int
-    total: int
-    elapsed: float  # seconds since campaign start
-    skipped_seed: bool  # whether *this* seed produced no outcome
-    #: breakdown of the ``skipped`` tally
-    crashed: int = 0
-    budget_exceeded: int = 0
+    #: the resilient per-seed verdict (outcome / skip / crash / budget)
+    report: SeedReport
+    #: raw MetricsRegistry.dump() snapshot of a pool worker (None
+    #: in-process, where metrics land in the parent registry directly)
+    metrics: dict[str, Any] | None = None
+    #: pool-worker span dicts, completion order (None in-process, where
+    #: spans nest under the live tracer directly)
+    spans: list[dict[str, Any]] | None = None
+    #: recorded ``(event type, attrs)`` pairs for this seed, emitted by
+    #: the seed loop in seed order (None when the event bus is off)
+    events: list[tuple[str, dict[str, Any]]] | None = None
+    #: new artifact-store entries this seed discovered
+    #: (:class:`~repro.store.StoreDelta`, committed by the seed loop)
+    delta: Any = None
 
-    @property
-    def programs_per_sec(self) -> float:
-        done = self.completed + self.skipped
-        return done / self.elapsed if self.elapsed > 0 else 0.0
+
+def analyze_envelope(
+    seed: int,
+    config: CampaignConfig,
+    specs: list[CompilerSpec],
+    metrics: MetricsRegistry | None,
+    session=None,
+    record_events: bool = False,
+) -> SeedEnvelope:
+    """Analyze one fresh seed under the current tracer (shared by the
+    in-process source and the pool workers)."""
+    start = time.perf_counter()
+    with current_tracer().span("campaign.program", seed=seed) as span:
+        report = analyze_one_resilient(
+            seed, specs, config.version, config.generator_config,
+            metrics=metrics, incremental=config.incremental,
+            seed_budget=config.seed_budget, interp=config.interp,
+            store=session,
+        )
+        span.set("skipped", report.outcome is None)
+        if report.crash is not None:
+            span.set("crashed", report.crash.bucket)
+        if report.budget_exceeded:
+            span.set("budget_exceeded", True)
+        if report.degraded:
+            span.set("degraded", True)
+    if metrics is not None:
+        metrics.histogram("campaign.program_latency_ms").observe(
+            (time.perf_counter() - start) * 1e3
+        )
+    return SeedEnvelope(
+        seed, report,
+        events=ev.seed_event_records(report) if record_events else None,
+        delta=session.delta if session is not None and session.delta else None,
+    )
+
+
+def _local_envelopes(
+    seeds: list[int],
+    config: CampaignConfig,
+    metrics: MetricsRegistry | None,
+    events: EventBus | None,
+    store,
+) -> Iterator[SeedEnvelope]:
+    """The ``jobs=1`` envelope source: one seed analyzed per pull, in
+    this process, reading the store through the parent's connection."""
+    specs = default_specs(config.version)
+    for seed in seeds:
+        session = store.session(metrics) if store is not None else None
+        yield analyze_envelope(
+            seed, config, specs, metrics, session, events is not None
+        )
 
 
 class CampaignCancelled(RuntimeError):
@@ -175,6 +286,7 @@ class CampaignCancelled(RuntimeError):
 
 
 def run_campaign(
+    *,
     n_programs: int = 50,
     seed_base: int = 0,
     version: int | None = None,
@@ -183,7 +295,6 @@ def run_campaign(
     compare_level: str = "O3",
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    progress: Callable[[CampaignProgress], None] | None = None,
     jobs: int = 1,
     incremental: bool = True,
     seed_budget: float | None = None,
@@ -197,6 +308,9 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the full marker campaign over ``n_programs`` seeds.
 
+    The plain-data arguments become one :class:`CampaignConfig`; the
+    rest are live objects the seed loop talks to.
+
     Observability hooks, all optional and overhead-free when unset:
 
     * ``metrics`` — accumulates per-spec compile-latency histograms,
@@ -204,24 +318,21 @@ def run_campaign(
       missed/primary tallies per (family, level).
     * ``tracer`` — installed as the current tracer for the duration,
       so pipeline/interpreter spans nest under one ``campaign`` span.
-    * ``progress`` — called with a :class:`CampaignProgress` snapshot
-      after every seed (superseded by ``events``; kept for callers
-      that want the preaggregated snapshot).
     * ``events`` — an :class:`~repro.observability.events.EventBus`
       receiving the typed campaign event stream (campaign_start,
       seed_start, seed_done, finding, crash, budget_exceeded,
       checkpoint_replayed, campaign_end).  The stream is identical —
-      modulo timestamps — at every ``jobs`` count: worker events ship
-      through :class:`~repro.core.parallel.SeedEnvelope` and re-emit
+      modulo timestamps — at every ``jobs`` count: each fresh seed's
+      events are recorded into its :class:`SeedEnvelope` and emitted
       in seed order.
 
-    ``jobs`` shards the per-seed work across a process pool
-    (:mod:`repro.core.parallel`).  The default 1 runs the exact
-    sequential path in-process; any higher count produces a
-    :class:`CampaignResult` with identical contents — outcomes merge
-    in seed order regardless of completion order — while metrics fold
-    worker snapshots into ``metrics`` and worker spans re-parent under
-    the campaign span.
+    ``jobs`` picks the envelope source.  The default 1 analyzes each
+    seed in-process; any higher count shards the seeds across a
+    process pool (:mod:`repro.core.parallel`) and produces a
+    :class:`CampaignResult` with identical contents — envelopes merge
+    in seed order regardless of completion order — while worker
+    metrics snapshots fold into ``metrics`` and worker spans re-parent
+    under the campaign span.
 
     ``incremental`` selects the prefix-shared compilation engine per
     seed (:mod:`repro.compilers.incremental`, identical results);
@@ -233,7 +344,7 @@ def run_campaign(
     ``window`` bounds the parallel scheduler's in-flight shard window
     (default ``jobs * 3``); ignored at ``jobs=1``.  Like ``jobs``,
     neither knob changes campaign results, so neither is part of the
-    run's config fingerprint.
+    run's :func:`config_fingerprint`.
 
     Fault isolation (:mod:`repro.core.resilience`): per-seed crashes
     are contained into ``result.crashes`` envelopes, ``seed_budget``
@@ -262,62 +373,25 @@ def run_campaign(
     budget blowups).
 
     ``cancel`` — a zero-argument callable polled at every seed
-    boundary (sequential loop and parallel merge alike); returning
-    ``True`` raises :class:`CampaignCancelled` after the finished
-    seeds have been journaled and committed, so a rerun with the same
-    checkpoint resumes rather than restarts.  The campaign service
-    uses this for per-job wall-clock timeouts and graceful drain.
+    boundary; returning ``True`` raises :class:`CampaignCancelled`
+    after the finished seeds have been journaled and committed, so a
+    rerun with the same checkpoint resumes rather than restarts.  The
+    campaign service uses this for per-job wall-clock timeouts and
+    graceful drain.
     """
     if n_programs < 0:
         raise ValueError(f"n_programs must be >= 0, got {n_programs}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        from .parallel import run_campaign_parallel
-
-        return run_campaign_parallel(
-            n_programs, seed_base, version, generator_config,
-            keep_analyses, compare_level, metrics, tracer, progress, jobs,
-            incremental, seed_budget, checkpoint, events, interp, window,
-            reduction, store, cancel,
-        )
-    if tracer is not None:
-        with use_tracer(tracer):
-            return _run_campaign_traced(
-                n_programs, seed_base, version, generator_config,
-                keep_analyses, compare_level, metrics, progress, incremental,
-                seed_budget, checkpoint, events, interp, reduction, store,
-                cancel,
-            )
-    return _run_campaign_traced(
-        n_programs, seed_base, version, generator_config,
-        keep_analyses, compare_level, metrics, progress, incremental,
-        seed_budget, checkpoint, events, interp, reduction, store, cancel,
+    config = CampaignConfig(
+        n_programs=n_programs, seed_base=seed_base, version=version,
+        generator_config=generator_config, compare_level=compare_level,
+        incremental=incremental, seed_budget=seed_budget, interp=interp,
+        keep_analyses=keep_analyses, jobs=jobs, window=window,
     )
-
-
-def _run_campaign_traced(
-    n_programs: int,
-    seed_base: int,
-    version: int | None,
-    generator_config: GeneratorConfig | None,
-    keep_analyses: bool,
-    compare_level: str,
-    metrics: MetricsRegistry | None,
-    progress: Callable[[CampaignProgress], None] | None,
-    incremental: bool = True,
-    seed_budget: float | None = None,
-    checkpoint: str | None = None,
-    events: EventBus | None = None,
-    interp: str | None = None,
-    reduction=None,
-    store=None,
-    cancel: Callable[[], bool] | None = None,
-) -> CampaignResult:
-    specs = default_specs(version)
     result = CampaignResult()
     result.cross_level = {family: CrossLevelStats() for family in FAMILIES}
-    tracer = current_tracer()
+    tracer = tracer if tracer is not None else current_tracer()
     start = time.perf_counter()
     journal = CheckpointJournal(checkpoint) if checkpoint else None
     store_scope: str | None = None
@@ -331,87 +405,86 @@ def _run_campaign_traced(
         stored_reports = store.load_seed_reports(
             store_scope, seed_base, seed_base + n_programs
         )
+    fresh = [
+        seed for seed in config.seeds
+        if (journal is None or journal.get(seed) is None)
+        and seed not in stored_reports
+    ]
+    if jobs == 1:
+        envelopes = _local_envelopes(fresh, config, metrics, events, store)
+    else:
+        from .parallel import pool_envelopes
+
+        envelopes = pool_envelopes(
+            fresh, config, metrics, tracer, events, store
+        )
     if events is not None:
+        # no jobs/window attrs: the stream must not betray scheduling
         events.emit(
             ev.CAMPAIGN_START, programs=n_programs, seed_base=seed_base,
             compare_level=compare_level, incremental=incremental,
         )
 
-    with tracer.span(
-        "campaign", programs=n_programs, seed_base=seed_base
+    with use_tracer(tracer), tracer.span(
+        "campaign", programs=n_programs, seed_base=seed_base, jobs=jobs,
+        window=window, interp=interp,
     ) as campaign_span, _signal_flushes(journal):
         try:
-            for seed in range(seed_base, seed_base + n_programs):
+            for seed in config.seeds:
                 if cancel is not None and cancel():
+                    # finished seeds are journaled/committed; in-flight
+                    # pool shards die with the pool teardown
                     raise CampaignCancelled(
                         f"campaign cancelled before seed {seed}",
                         seeds_done=seed - seed_base,
                     )
-                replayed = journal.get(seed) if journal is not None else None
-                stored = (
-                    stored_reports.get(seed) if replayed is None else None
-                )
-                if replayed is not None:
+                report = journal.get(seed) if journal is not None else None
+                if report is not None:
                     if metrics is not None:
                         metrics.counter("campaign.checkpoint_replayed").inc()
                     if events is not None:
                         events.emit(
                             ev.CHECKPOINT_REPLAYED, seed=seed,
-                            status=ev.report_status(replayed),
+                            status=ev.report_status(report),
                         )
-                    report = replayed
-                elif stored is not None:
-                    # warm replay: same events a fresh analysis emits,
-                    # so the stream is byte-identical modulo timestamps
+                elif seed in stored_reports:
+                    # warm replay: the exact events a fresh analysis
+                    # records, so the stream is byte-identical modulo
+                    # timestamps
+                    report = stored_reports[seed]
                     if metrics is not None:
                         metrics.counter("store.seeds_skipped").inc()
-                    if events is not None:
-                        events.emit(ev.SEED_START, seed=seed)
-                    if journal is not None:
-                        journal.record(stored)
-                    if events is not None:
-                        events.emit_all(ev.seed_outcome_records(stored))
-                    report = stored
-                else:
-                    if events is not None:
-                        events.emit(ev.SEED_START, seed=seed)
-                    session = store.session(metrics) if store is not None else None
-                    program_start = time.perf_counter()
-                    with tracer.span("campaign.program", seed=seed) as span:
-                        report = analyze_one_resilient(
-                            seed, specs, version, generator_config,
-                            metrics=metrics, incremental=incremental,
-                            seed_budget=seed_budget, interp=interp,
-                            store=session,
-                        )
-                        span.set("skipped", report.outcome is None)
-                        if report.crash is not None:
-                            span.set("crashed", report.crash.bucket)
-                        if report.budget_exceeded:
-                            span.set("budget_exceeded", True)
-                        if report.degraded:
-                            span.set("degraded", True)
-                    if metrics is not None:
-                        metrics.histogram(
-                            "campaign.program_latency_ms"
-                        ).observe((time.perf_counter() - program_start) * 1e3)
                     if journal is not None:
                         journal.record(report)
                     if events is not None:
-                        events.emit_all(ev.seed_outcome_records(report))
+                        events.emit_all(ev.seed_event_records(report))
+                else:
+                    envelope = next(envelopes)
+                    if envelope.seed != seed:  # pragma: no cover - defensive
+                        raise RuntimeError(
+                            f"seed-order merge broke: expected {seed}, "
+                            f"got {envelope.seed}"
+                        )
+                    report = envelope.report
+                    if journal is not None:
+                        journal.record(report)
+                    if events is not None and envelope.events is not None:
+                        events.emit_all(envelope.events)
                     if store is not None:
-                        store.commit_seed(store_scope, report, session.delta)
+                        store.commit_seed(store_scope, report, envelope.delta)
+                    if metrics is not None and envelope.metrics is not None:
+                        metrics.merge(envelope.metrics)
+                    if envelope.spans:
+                        tracer.adopt_spans(
+                            envelope.spans, parent_id=campaign_span.span_id
+                        )
                 _merge_report(
-                    result, report, version, compare_level, keep_analyses,
-                    metrics, events, reduction,
+                    result, report, config, metrics, events, reduction
                 )
-                elapsed = time.perf_counter() - start
                 if metrics is not None:
-                    _record_tallies(result, metrics, elapsed)
-                if progress is not None:
-                    progress(_progress_snapshot(
-                        result, report, n_programs, elapsed
-                    ))
+                    _record_tallies(
+                        result, metrics, time.perf_counter() - start
+                    )
             # reductions overlapped the seed loop; collect them (in
             # finding order) before the campaign narrates its end
             drain_reduction(result, reduction, events, metrics)
@@ -434,10 +507,9 @@ def drain_reduction(
     events: EventBus | None,
     metrics: MetricsRegistry | None,
 ) -> None:
-    """Collect a campaign's reduction queue into the result (shared by
-    the sequential loop and the parallel engine; no-op without a
-    queue).  Runs before ``campaign_end`` so the end-of-stream summary
-    can report the reduced-finding tally."""
+    """Collect a campaign's reduction queue into the result (no-op
+    without a queue).  Runs before ``campaign_end`` so the
+    end-of-stream summary can report the reduced-finding tally."""
     if reduction is None:
         return
     fingerprints, stats = reduction.drain(
@@ -448,8 +520,7 @@ def drain_reduction(
 
 
 def campaign_end_attrs(result: CampaignResult) -> dict:
-    """The ``campaign_end`` event attributes (shared with the parallel
-    engine so both emit identical summaries)."""
+    """The ``campaign_end`` event attributes."""
     attrs = {
         "completed": len(result.seeds),
         "skipped": len(result.skipped),
@@ -468,16 +539,14 @@ def campaign_end_attrs(result: CampaignResult) -> dict:
 def _merge_report(
     result: CampaignResult,
     report: SeedReport,
-    version: int | None,
-    compare_level: str,
-    keep_analyses: bool,
+    config: CampaignConfig,
     metrics: MetricsRegistry | None,
     events: EventBus | None = None,
     reduction=None,
 ) -> None:
     """Fold one per-seed :class:`SeedReport` into the campaign result
-    (shared by the sequential loop, the parallel merge, and checkpoint
-    replay, so all three count crashes/budget/degraded identically)."""
+    (fresh, journaled and stored seeds alike, so all three count
+    crashes/budget/degraded identically)."""
     if report.budget_exceeded:
         result.budget_exceeded.append(report.seed)
         if metrics is not None:
@@ -491,35 +560,15 @@ def _merge_report(
     else:
         result.seeds.append(report.seed)
         _accumulate(
-            result, report.outcome, version, compare_level, events, reduction
+            result, report.outcome, config.version, config.compare_level,
+            events, reduction,
         )
-        if keep_analyses:
+        if config.keep_analyses:
             result.analyses.append(report.outcome)
         if report.degraded:
             result.degraded.append(report.seed)
             if metrics is not None:
                 metrics.counter("campaign.degraded").inc()
-
-
-def _progress_snapshot(
-    result: CampaignResult,
-    report: SeedReport,
-    n_programs: int,
-    elapsed: float,
-) -> CampaignProgress:
-    return CampaignProgress(
-        seed=report.seed,
-        completed=len(result.seeds),
-        skipped=(
-            len(result.skipped) + len(result.crashes)
-            + len(result.budget_exceeded)
-        ),
-        total=n_programs,
-        elapsed=elapsed,
-        skipped_seed=report.outcome is None,
-        crashed=len(result.crashes),
-        budget_exceeded=len(result.budget_exceeded),
-    )
 
 
 #: signals that interrupt a checkpointed campaign: Ctrl-C and the
@@ -552,10 +601,6 @@ def _signal_flushes(journal: CheckpointJournal | None):
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-
-
-#: backwards-compatible alias (pre-PR 10 name)
-_sigint_flushes = _signal_flushes
 
 
 def _record_tallies(

@@ -1,26 +1,27 @@
-"""Parallel campaign engine: streaming process-pool seed sharding.
+"""Process-pool side of the campaign: the ``jobs > 1`` envelope source.
 
-``run_campaign(jobs=N)`` delegates here for ``N > 1``.  Seeds split
-into contiguous shards, each pool worker runs
-:func:`repro.core.resilience.analyze_one_resilient` over its shard and
-sends back a picklable :class:`SeedEnvelope` per seed (per-seed report
-+ raw metrics snapshot + serialized spans).
+:func:`repro.core.corpus.run_campaign` runs one seed loop; at
+``jobs > 1`` its fresh seeds come from :func:`pool_envelopes`.  Seeds
+split into contiguous shards, each pool worker runs
+:func:`repro.core.corpus.analyze_envelope` over its shard and sends
+back a picklable :class:`~repro.core.corpus.SeedEnvelope` per seed
+(per-seed report + raw metrics snapshot + serialized spans + recorded
+events + store delta).
 
 Scheduling is a streaming producer/consumer pipeline with a **bounded
 in-flight window** (diopter's ``max_parallel_jobs`` pattern): at most
 ``window`` shards (default ``jobs * 3``) are submitted at a time, and
-each completion both tops the window back up and lets the merge loop
+each completion both tops the window back up and lets the seed loop
 drain whatever became contiguous.  Compared to submitting every shard
 upfront this bounds parent-side memory (completed-but-unmerged work
-can't pile up faster than the merge loop consumes it — backpressure),
+can't pile up faster than the seed loop consumes it — backpressure),
 keeps submission overhead off the critical path for huge campaigns,
 and lets a slow seed stall only its own shard while later shards keep
-flowing through the window.  The parent still folds envelopes into the
-:class:`CampaignResult` strictly **in seed order** — out-of-order
-completions buffer until the gap closes — so the result (including
-crash envelopes and their buckets) is identical to the sequential run
-regardless of jobs count, window size, shard size, or completion
-order.
+flowing through the window.  Envelopes are yielded strictly **in seed
+order** — out-of-order completions buffer until the gap closes — so
+the result (including crash envelopes and their buckets) is identical
+to the in-process run regardless of jobs count, window size, shard
+size, or completion order.
 
 Fault isolation at the pool boundary:
 
@@ -28,28 +29,21 @@ Fault isolation at the pool boundary:
   :class:`~repro.core.resilience.CrashEnvelope`\\ s, never poisoning a
   shard);
 * a **worker death** (``BrokenProcessPool``) dooms every in-flight
-  shard: the engine restarts the pool (``campaign.worker_restarts``)
+  shard: the source restarts the pool (``campaign.worker_restarts``)
   and resubmits the doomed shards **bisected**, so repeated deaths
   isolate the killer seed into a singleton shard, which is then
   recorded as a ``WorkerDeath`` crash while every innocent seed is
-  re-analyzed;
-* with a ``checkpoint`` journal, already-journaled seeds replay from
-  disk and only the rest are sharded to the pool; freshly finished
-  seeds append to the journal in seed order.
+  re-analyzed.
 
-Observability threads through the pool boundary exactly as before:
-worker metrics snapshots merge in seed order, worker span subtrees
-re-parent under the parent's ``campaign`` span, and ``progress`` ticks
-live from the merge loop.  The installed chaos
-:class:`~repro.testing.chaos.FaultPlan` (if any) ships through the
-pool initializer so fault injection behaves identically under ``fork``
-and ``spawn``.
+The installed chaos :class:`~repro.testing.chaos.FaultPlan` (if any)
+ships through the pool initializer so fault injection behaves
+identically under ``fork`` and ``spawn``.  The module also hosts the
+reduction engine's oracle pools.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -59,32 +53,19 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from ..compilers import FAMILIES
-from ..generator import GeneratorConfig
 from ..observability import events as ev
 from ..observability.events import EventBus
 from ..observability.export import spans_to_dicts
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracer import Tracer, current_tracer, use_tracer
+from ..observability.tracer import Tracer, use_tracer
 from ..testing import chaos
 from .corpus import (
-    CampaignCancelled,
-    CampaignResult,
-    CrossLevelStats,
-    _merge_report,
-    _progress_snapshot,
-    _record_tallies,
-    _signal_flushes,
-    campaign_end_attrs,
+    CampaignConfig,
+    SeedEnvelope,
+    analyze_envelope,
     default_specs,
-    drain_reduction,
 )
-from .resilience import (
-    CheckpointJournal,
-    SeedReport,
-    analyze_one_resilient,
-    worker_death_envelope,
-)
+from .resilience import SeedReport, worker_death_envelope
 
 #: seeds per pool task: small enough that every worker sees several
 #: waves (load balance + live progress), large enough to amortize the
@@ -95,46 +76,6 @@ MAX_SHARD_SIZE = 8
 #: slack that workers never idle while the parent merges, small enough
 #: that completed-but-unmerged envelopes stay bounded
 WINDOW_FACTOR = 3
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a pool worker needs, shipped once per pool through
-    the initializer (one picklable object instead of a fragile
-    positional tuple)."""
-
-    version: int | None = None
-    generator_config: GeneratorConfig | None = None
-    collect_metrics: bool = False
-    collect_spans: bool = False
-    incremental: bool = True
-    seed_budget: float | None = None
-    fault_plan: chaos.FaultPlan | None = None
-    collect_events: bool = False
-    #: ground-truth interpreter backend (None = process default)
-    interp: str | None = None
-    #: artifact-store file workers open read-only (None = no store)
-    store_path: str | None = None
-
-
-@dataclass
-class SeedEnvelope:
-    """Everything one worker says about one seed, picklable."""
-
-    seed: int
-    #: the resilient per-seed verdict (outcome / skip / crash / budget)
-    report: SeedReport
-    #: raw MetricsRegistry.dump() snapshot (None when metrics are off)
-    metrics: dict[str, Any] | None
-    #: worker span dicts, completion order (None when tracing is off)
-    spans: list[dict[str, Any]] | None
-    #: recorded ``(event type, attrs)`` pairs for this seed, re-emitted
-    #: by the parent in seed order (None when the event bus is off)
-    events: list[tuple[str, dict[str, Any]]] | None = None
-    #: new artifact-store entries this seed discovered
-    #: (:class:`~repro.store.StoreDelta`; the parent commits them in
-    #: seed order — workers never write the database)
-    delta: Any = None
 
 
 def shard_seeds(
@@ -160,18 +101,29 @@ def shard_seeds(
 _WORKER: dict[str, Any] = {}
 
 
-def _init_worker(config: WorkerConfig) -> None:
-    _WORKER.update(specs=default_specs(config.version), config=config)
+def _init_worker(
+    config: CampaignConfig,
+    collect_metrics: bool,
+    collect_spans: bool,
+    collect_events: bool,
+    fault_plan: chaos.FaultPlan | None,
+    store_path: str | None,
+) -> None:
     # ship the parent's fault plan so injection also works on
     # spawn-only platforms (fork inherits it anyway)
-    chaos.install_plan(config.fault_plan)
-    _WORKER["store"] = None
-    if config.store_path is not None:
+    chaos.install_plan(fault_plan)
+    store = None
+    if store_path is not None:
         from ..store import open_store
 
         # read-only snapshot; a failed open degrades this worker to
         # cold (new entries still ship back through the delta)
-        _WORKER["store"] = open_store(config.store_path, read_only=True)
+        store = open_store(store_path, read_only=True)
+    _WORKER.update(
+        config=config, specs=default_specs(config.version),
+        collect_metrics=collect_metrics, collect_spans=collect_spans,
+        collect_events=collect_events, store_path=store_path, store=store,
+    )
 
 
 def _analyze_shard(seeds: list[int]) -> list[SeedEnvelope]:
@@ -179,70 +131,36 @@ def _analyze_shard(seeds: list[int]) -> list[SeedEnvelope]:
 
 
 def _analyze_seed(seed: int) -> SeedEnvelope:
-    config: WorkerConfig = _WORKER["config"]
-    metrics = MetricsRegistry() if config.collect_metrics else None
+    metrics = MetricsRegistry() if _WORKER["collect_metrics"] else None
     session = None
-    if config.store_path is not None:
+    if _WORKER["store_path"] is not None:
         from ..store import StoreSession
 
-        session = StoreSession(_WORKER.get("store"), metrics)
-    start = time.perf_counter()
-    if config.collect_spans:
+        session = StoreSession(_WORKER["store"], metrics)
+    args = (
+        seed, _WORKER["config"], _WORKER["specs"], metrics, session,
+        _WORKER["collect_events"],
+    )
+    if _WORKER["collect_spans"]:
         tracer = Tracer()
         with use_tracer(tracer):
-            with tracer.span("campaign.program", seed=seed) as span:
-                report = _run_analyze(seed, metrics, session)
-                span.set("skipped", report.outcome is None)
-                if report.crash is not None:
-                    span.set("crashed", report.crash.bucket)
-                if report.budget_exceeded:
-                    span.set("budget_exceeded", True)
-                if report.degraded:
-                    span.set("degraded", True)
-        spans = spans_to_dicts(tracer)
+            envelope = analyze_envelope(*args)
+        envelope.spans = spans_to_dicts(tracer)
     else:
-        report = _run_analyze(seed, metrics, session)
-        spans = None
+        envelope = analyze_envelope(*args)
     if metrics is not None:
-        # mirrors the sequential parent's per-program latency histogram
-        metrics.histogram("campaign.program_latency_ms").observe(
-            (time.perf_counter() - start) * 1e3
-        )
-    return SeedEnvelope(
-        seed, report, metrics.dump() if metrics is not None else None, spans,
-        ev.seed_event_records(report) if config.collect_events else None,
-        delta=(
-            session.delta if session is not None and session.delta else None
-        ),
-    )
-
-
-def _run_analyze(
-    seed: int, metrics: MetricsRegistry | None, store=None
-) -> SeedReport:
-    config: WorkerConfig = _WORKER["config"]
-    return analyze_one_resilient(
-        seed,
-        _WORKER["specs"],
-        config.version,
-        config.generator_config,
-        metrics=metrics,
-        incremental=config.incremental,
-        seed_budget=config.seed_budget,
-        interp=config.interp,
-        store=store,
-    )
+        envelope.metrics = metrics.dump()
+    return envelope
 
 
 # -- oracle workers (reduction engine) -------------------------------------
 
 
 @dataclass(frozen=True)
-class OracleWorkerConfig:
+class OraclePoolConfig:
     """Bootstrap for the reduction engine's oracle pools: the
     (picklable) interestingness predicate plus the parent's chaos
-    plan, shipped once per pool through the initializer — the same
-    pattern as :class:`WorkerConfig`."""
+    plan, shipped once per pool through the initializer."""
 
     predicate: Any
     fault_plan: chaos.FaultPlan | None = None
@@ -251,7 +169,7 @@ class OracleWorkerConfig:
 _ORACLE: dict[str, Any] = {}
 
 
-def _init_oracle_worker(config: OracleWorkerConfig) -> None:
+def _init_oracle_worker(config: OraclePoolConfig) -> None:
     _ORACLE["predicate"] = config.predicate
     chaos.install_plan(config.fault_plan)
 
@@ -287,203 +205,35 @@ def pool_context():
     return multiprocessing.get_context()
 
 
-def run_campaign_parallel(
-    n_programs: int,
-    seed_base: int,
-    version: int | None,
-    generator_config: GeneratorConfig | None,
-    keep_analyses: bool,
-    compare_level: str,
+def pool_envelopes(
+    seeds: list[int],
+    config: CampaignConfig,
     metrics: MetricsRegistry | None,
-    tracer: Tracer | None,
-    progress: Callable[..., None] | None,
-    jobs: int,
-    incremental: bool = True,
-    seed_budget: float | None = None,
-    checkpoint: str | None = None,
-    events: EventBus | None = None,
-    interp: str | None = None,
-    window: int | None = None,
-    reduction=None,
-    store=None,
-    cancel=None,
-) -> CampaignResult:
-    """The ``jobs > 1`` engine behind
-    :func:`repro.core.corpus.run_campaign` (same contract)."""
-    if tracer is not None:
-        with use_tracer(tracer):
-            return _run_parallel(
-                n_programs, seed_base, version, generator_config,
-                keep_analyses, compare_level, metrics, progress, jobs,
-                incremental, seed_budget, checkpoint, events, interp, window,
-                reduction, store, cancel,
-            )
-    return _run_parallel(
-        n_programs, seed_base, version, generator_config,
-        keep_analyses, compare_level, metrics, progress, jobs, incremental,
-        seed_budget, checkpoint, events, interp, window, reduction, store,
-        cancel,
+    tracer: Tracer,
+    events: EventBus | None,
+    store,
+) -> Iterator[SeedEnvelope]:
+    """The ``jobs > 1`` envelope source: one envelope per seed of
+    ``seeds``, in seed order.  Lazy — no pool starts before the first
+    pull, so a campaign whose every seed replays never forks."""
+    initargs = (
+        config, metrics is not None, tracer.enabled, events is not None,
+        chaos.current_plan(), store.path if store is not None else None,
     )
 
+    def count_restart() -> None:
+        if metrics is not None:
+            metrics.counter("campaign.worker_restarts").inc()
 
-def _run_parallel(
-    n_programs: int,
-    seed_base: int,
-    version: int | None,
-    generator_config: GeneratorConfig | None,
-    keep_analyses: bool,
-    compare_level: str,
-    metrics: MetricsRegistry | None,
-    progress: Callable[..., None] | None,
-    jobs: int,
-    incremental: bool = True,
-    seed_budget: float | None = None,
-    checkpoint: str | None = None,
-    events: EventBus | None = None,
-    interp: str | None = None,
-    window: int | None = None,
-    reduction=None,
-    store=None,
-    cancel: Callable[[], bool] | None = None,
-) -> CampaignResult:
-    result = CampaignResult()
-    result.cross_level = {family: CrossLevelStats() for family in FAMILIES}
-    tracer = current_tracer()
-    start = time.perf_counter()
-    journal = CheckpointJournal(checkpoint) if checkpoint else None
-    store_scope: str | None = None
-    stored_reports: dict[int, SeedReport] = {}
-    if store is not None:
-        from ..store import seed_scope_fingerprint
-
-        if store.metrics is None:
-            store.metrics = metrics
-        store_scope = seed_scope_fingerprint(version, generator_config)
-        stored_reports = store.load_seed_reports(
-            store_scope, seed_base, seed_base + n_programs
-        )
-    all_seeds = list(range(seed_base, seed_base + n_programs))
-    fresh = [
-        s for s in all_seeds
-        if (journal is None or journal.get(s) is None)
-        and s not in stored_reports
-    ]
-    if events is not None:
-        # identical attrs to the sequential path (no jobs count): the
-        # stream must not betray how the campaign was scheduled
-        events.emit(
-            ev.CAMPAIGN_START, programs=n_programs, seed_base=seed_base,
-            compare_level=compare_level, incremental=incremental,
-        )
-
-    effective_window = window if window is not None else jobs * WINDOW_FACTOR
-    with tracer.span(
-        "campaign", programs=n_programs, seed_base=seed_base, jobs=jobs,
-        window=effective_window, interp=interp,
-    ) as campaign_span, _signal_flushes(journal):
-        parent_id = campaign_span.span_id if tracer.enabled else None
-        worker_config = WorkerConfig(
-            version=version,
-            generator_config=generator_config,
-            collect_metrics=metrics is not None,
-            collect_spans=tracer.enabled,
-            incremental=incremental,
-            seed_budget=seed_budget,
-            fault_plan=chaos.current_plan(),
-            collect_events=events is not None,
-            interp=interp,
-            store_path=store.path if store is not None else None,
-        )
-        try:
-            envelopes = _drain_envelopes(
-                fresh, jobs, worker_config,
-                on_restart=lambda: _count_restart(metrics),
-                window=effective_window,
-            )
-            for seed in all_seeds:
-                if cancel is not None and cancel():
-                    # finished seeds are journaled/committed; in-flight
-                    # shards die with the pool teardown below
-                    raise CampaignCancelled(
-                        f"campaign cancelled before seed {seed}",
-                        seeds_done=seed - seed_base,
-                    )
-                replayed = journal.get(seed) if journal is not None else None
-                if replayed is not None:
-                    if metrics is not None:
-                        metrics.counter("campaign.checkpoint_replayed").inc()
-                    if events is not None:
-                        events.emit(
-                            ev.CHECKPOINT_REPLAYED, seed=seed,
-                            status=ev.report_status(replayed),
-                        )
-                    _merge_one(
-                        result, replayed, None, None, version, compare_level,
-                        keep_analyses, metrics, tracer, parent_id, progress,
-                        start, n_programs, events, reduction,
-                    )
-                    continue
-                stored = stored_reports.get(seed)
-                if stored is not None:
-                    # warm replay: the exact events a fresh worker
-                    # would record, re-emitted in seed order
-                    if metrics is not None:
-                        metrics.counter("store.seeds_skipped").inc()
-                    if journal is not None:
-                        journal.record(stored)
-                    if events is not None:
-                        events.emit_all(ev.seed_event_records(stored))
-                    _merge_one(
-                        result, stored, None, None, version, compare_level,
-                        keep_analyses, metrics, tracer, parent_id, progress,
-                        start, n_programs, events, reduction,
-                    )
-                    continue
-                envelope = next(envelopes)
-                if envelope.seed != seed:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"seed-order merge broke: expected {seed}, "
-                        f"got {envelope.seed}"
-                    )
-                if journal is not None:
-                    journal.record(envelope.report)
-                if events is not None and envelope.events is not None:
-                    events.emit_all(envelope.events)
-                if store is not None:
-                    if envelope.delta is not None:
-                        store.apply_delta(envelope.delta)
-                    store.record_seed_report(store_scope, envelope.report)
-                    store.commit()
-                _merge_one(
-                    result, envelope.report, envelope.metrics, envelope.spans,
-                    version, compare_level, keep_analyses, metrics, tracer,
-                    parent_id, progress, start, n_programs, events, reduction,
-                )
-            # reductions overlapped the seed loop; collect them (in
-            # finding order) before the campaign narrates its end
-            drain_reduction(result, reduction, events, metrics)
-            campaign_span.update(
-                completed=len(result.seeds), skipped=len(result.skipped),
-                crashed=len(result.crashes),
-                budget_exceeded=len(result.budget_exceeded),
-            )
-            if events is not None:
-                events.emit(ev.CAMPAIGN_END, **campaign_end_attrs(result))
-        finally:
-            if journal is not None:
-                journal.close()
-    return result
-
-
-def _count_restart(metrics: MetricsRegistry | None) -> None:
-    if metrics is not None:
-        metrics.counter("campaign.worker_restarts").inc()
+    return _drain_envelopes(
+        seeds, config.jobs, initargs, count_restart, config.window
+    )
 
 
 def _drain_envelopes(
     seeds: list[int],
     jobs: int,
-    config: WorkerConfig,
+    initargs: tuple,
     on_restart: Callable[[], None],
     window: int | None = None,
 ) -> Iterator[SeedEnvelope]:
@@ -493,7 +243,7 @@ def _drain_envelopes(
     Fast path: shards stream through one shared pool with at most
     ``window`` of them in flight — each completion tops the window
     back up from the unsubmitted backlog, so the producer never runs
-    unboundedly ahead of the seed-order merge loop consuming this
+    unboundedly ahead of the campaign seed loop consuming this
     generator (backpressure).  A worker death marks that pool broken
     and dooms every *in-flight* shard (the executor cannot say which
     one killed it) — but only those: the unsubmitted backlog resumes
@@ -517,7 +267,7 @@ def _drain_envelopes(
             max_workers=min(jobs, len(backlog)),
             mp_context=pool_context(),
             initializer=_init_worker,
-            initargs=(config,),
+            initargs=initargs,
         ) as pool:
             futures: dict[Any, list[int]] = {}
             while backlog and len(futures) < window:
@@ -562,7 +312,7 @@ def _drain_envelopes(
         while queue:
             shard = queue.pop(0)
             on_restart()
-            envelopes = _run_shard_isolated(shard, config)
+            envelopes = _run_shard_isolated(shard, initargs)
             if envelopes is None:  # this shard really does kill workers
                 if len(shard) == 1:
                     seed = shard[0]
@@ -570,14 +320,7 @@ def _drain_envelopes(
                         seed=seed, crash=worker_death_envelope(seed)
                     )
                     ready[seed] = SeedEnvelope(
-                        seed,
-                        report,
-                        metrics=None,
-                        spans=None,
-                        events=(
-                            ev.seed_event_records(report)
-                            if config.collect_events else None
-                        ),
+                        seed, report, events=ev.seed_event_records(report)
                     )
                 else:
                     mid = (len(shard) + 1) // 2
@@ -595,7 +338,7 @@ def _drain_envelopes(
 
 
 def _run_shard_isolated(
-    shard: list[int], config: WorkerConfig
+    shard: list[int], initargs: tuple
 ) -> list[SeedEnvelope] | None:
     """Run one doomed shard in its own single-worker pool; ``None``
     means the shard (specifically) killed its worker again."""
@@ -603,43 +346,9 @@ def _run_shard_isolated(
         max_workers=1,
         mp_context=pool_context(),
         initializer=_init_worker,
-        initargs=(config,),
+        initargs=initargs,
     ) as pool:
         try:
             return pool.submit(_analyze_shard, shard).result()
         except BrokenExecutor:
             return None
-
-
-def _merge_one(
-    result: CampaignResult,
-    report: SeedReport,
-    metrics_snapshot: dict[str, Any] | None,
-    spans: list[dict[str, Any]] | None,
-    version: int | None,
-    compare_level: str,
-    keep_analyses: bool,
-    metrics: MetricsRegistry | None,
-    tracer: Tracer,
-    campaign_parent_id: int | None,
-    progress: Callable[..., None] | None,
-    start: float,
-    n_programs: int,
-    events: EventBus | None = None,
-    reduction=None,
-) -> None:
-    """Fold one per-seed report into the parent state (mirrors one
-    iteration of the sequential campaign loop)."""
-    if metrics is not None and metrics_snapshot is not None:
-        metrics.merge(metrics_snapshot)
-    if tracer.enabled and spans:
-        tracer.adopt_spans(spans, parent_id=campaign_parent_id)
-    _merge_report(
-        result, report, version, compare_level, keep_analyses, metrics,
-        events, reduction,
-    )
-    elapsed = time.perf_counter() - start
-    if metrics is not None:
-        _record_tallies(result, metrics, elapsed)
-    if progress is not None:
-        progress(_progress_snapshot(result, report, n_programs, elapsed))

@@ -284,7 +284,7 @@ class _SpeculativeEngine:
     def _ensure_pool(self):
         from concurrent.futures import ProcessPoolExecutor
 
-        from .parallel import OracleWorkerConfig, _init_oracle_worker, pool_context
+        from .parallel import OraclePoolConfig, _init_oracle_worker, pool_context
 
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -292,7 +292,7 @@ class _SpeculativeEngine:
                 mp_context=pool_context(),
                 initializer=_init_oracle_worker,
                 initargs=(
-                    OracleWorkerConfig(self._predicate, chaos.current_plan()),
+                    OraclePoolConfig(self._predicate, chaos.current_plan()),
                 ),
             )
         return self._pool
@@ -698,9 +698,8 @@ def reduce_finding(
 
 @dataclass(frozen=True)
 class FindingReductionConfig:
-    """Per-pool bootstrap for finding-reduction workers (the same
-    initializer-shipped pattern as
-    :class:`repro.core.parallel.WorkerConfig`)."""
+    """Per-pool bootstrap for finding-reduction workers, shipped once
+    per pool through the initializer."""
 
     generator_config: Any = None
     compare_level: str = "O3"
@@ -856,7 +855,7 @@ class ReductionCampaignStats:
 class ReductionQueue:
     """Async finding-reduction pipeline for campaigns.
 
-    ``submit`` is called by the campaign merge loop the moment a
+    ``submit`` is called by the campaign seed loop the moment a
     finding is recorded; each finding becomes one pool task seeded with
     a snapshot of the shared oracle memo (entries shipped back by
     already-finished reductions — the cross-worker memoization).

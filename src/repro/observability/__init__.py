@@ -41,7 +41,6 @@ from .ledger import (
     FindingRow,
     RunLedger,
     RunRow,
-    config_fingerprint,
     finding_fingerprint,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -89,7 +88,6 @@ __all__ = [
     "aggregate_contributions",
     "compare_runs",
     "comparison_text",
-    "config_fingerprint",
     "current_tracer",
     "finding_fingerprint",
     "format_trace",

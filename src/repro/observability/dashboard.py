@@ -217,10 +217,11 @@ class LiveDashboard:
         if self._tty:
             self._render()
         else:
-            seed = event.attrs.get("seed", "?")
-            self._print(
-                f"[{self._done}/{self._total}] seed {seed}: {status}"
-            )
+            self._print(self._seed_line(event.attrs.get("seed", "?"), status))
+
+    def _seed_line(self, seed, status: str) -> str:
+        """One plain-mode per-seed line."""
+        return f"[{self._done}/{self._total}] seed {seed}: {status}"
 
     def _elapsed(self) -> float:
         return self._now() - self._start if self._start is not None else 0.0
@@ -289,24 +290,22 @@ class LiveDashboard:
         self._stream.flush()
 
 
-class ProgressPrinter:
-    """Event-bus twin of the classic ``--progress`` per-seed lines.
+class ProgressPrinter(LiveDashboard):
+    """The plain per-seed lines behind ``campaign --progress``.
 
-    Emits ``[n/total] seed S: STATUS`` to ``stream`` (stderr by
-    default) for every finished seed — the non-TTY fallback wired to
-    the same event stream workers ship, so parallel campaigns report
-    progress in deterministic seed order.
+    Emits ``[n/total] seed S: STATUS (R programs/sec, Ts elapsed)`` to
+    ``stream`` (stderr by default) for every finished seed, always in
+    plain mode — driven by the same event stream at every ``--jobs``
+    count, so parallel campaigns report progress in seed order.
     """
 
     def __init__(self, stream=None) -> None:
-        self._dashboard = LiveDashboard(stream, force_tty=False)
+        super().__init__(stream, force_tty=False)
 
-    def attach(self, bus: EventBus) -> "ProgressPrinter":
-        bus.subscribe(self._dashboard)
-        return self
-
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(self._dashboard)
-
-    def __call__(self, event: Event) -> None:
-        self._dashboard(event)
+    def _seed_line(self, seed, status: str) -> str:
+        elapsed = self._elapsed()
+        rate = self._done / elapsed if elapsed > 0 else 0.0
+        return (
+            f"{super()._seed_line(seed, status)} "
+            f"({rate:.2f} programs/sec, {elapsed:.1f}s elapsed)"
+        )

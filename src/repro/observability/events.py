@@ -13,11 +13,11 @@ behind ``--progress``).
 
 Determinism is a hard contract: the stream (sequence numbers, types
 and attributes — everything except wall-clock timestamps) is
-byte-identical between ``jobs=1`` and ``jobs=N``.  Workers therefore
-never write to the bus directly; they record their per-seed events
-into the :class:`~repro.core.parallel.SeedEnvelope` and the parent
-re-emits them in seed order, assigning fresh sequence numbers and
-timestamps.  Event attributes carry counts and names only, never
+byte-identical between ``jobs=1`` and ``jobs=N``.  Seed analysis
+therefore never writes to the bus directly; each fresh seed's events
+are recorded into its :class:`~repro.core.corpus.SeedEnvelope` (in
+process or in a pool worker) and the campaign's seed loop emits them
+in seed order, assigning fresh sequence numbers and timestamps.  Event attributes carry counts and names only, never
 durations — wall time lives solely in the ``ts`` field so "equal
 modulo timestamps" is a per-line field drop, not a heuristic.
 
@@ -156,9 +156,9 @@ class EventBus:
         return event
 
     def emit_all(self, records: Iterable[tuple[str, dict[str, Any]]]) -> None:
-        """Re-emit recorded ``(type, attrs)`` pairs (the parallel
-        merge loop replaying a worker's per-seed events in seed
-        order); each gets a fresh seq/ts from this bus."""
+        """Re-emit recorded ``(type, attrs)`` pairs (the campaign's
+        seed loop replaying a seed's recorded events in seed order);
+        each gets a fresh seq/ts from this bus."""
         for type_, attrs in records:
             self.emit(type_, **attrs)
 
@@ -183,10 +183,10 @@ def seed_outcome_records(report) -> list[tuple[str, dict[str, Any]]]:
     :class:`~repro.core.resilience.SeedReport`, as ``(type, attrs)``
     records.
 
-    Shared verbatim by the sequential loop (which emits them straight
-    onto the bus) and the pool workers (which ship them in the
-    :class:`~repro.core.parallel.SeedEnvelope` for in-order
-    re-emission), so both job counts produce identical streams.
+    Every seed's outcome events come from here — fresh analyses
+    record them into their :class:`~repro.core.corpus.SeedEnvelope`
+    and stored seeds replay them — so every path produces identical
+    streams.
     """
     if report.budget_exceeded:
         return [(BUDGET_EXCEEDED, {"seed": report.seed})]
@@ -212,9 +212,8 @@ def seed_outcome_records(report) -> list[tuple[str, dict[str, Any]]]:
 
 
 def seed_event_records(report) -> list[tuple[str, dict[str, Any]]]:
-    """``seed_start`` plus the outcome events for one seed (the
-    worker-side recording; the sequential loop emits ``seed_start``
-    before analysis instead, which re-serializes to the same order)."""
+    """``seed_start`` plus the outcome events for one seed, as the
+    campaign's seed loop emits them."""
     return [
         (SEED_START, {"seed": report.seed}),
         *seed_outcome_records(report),

@@ -156,36 +156,6 @@ CREATE TABLE IF NOT EXISTS case_aliases (
 CASE_STATES = ("found", "reduced", "bisected", "reported")
 
 
-def config_fingerprint(
-    n_programs: int,
-    seed_base: int,
-    version: int | None = None,
-    generator_config: GeneratorConfig | None = None,
-    compare_level: str = "O3",
-    incremental: bool = True,
-) -> str:
-    """A short stable hash of everything that determines a campaign's
-    results.  ``jobs``, the scheduler ``window``, and the ``interp``
-    backend are deliberately excluded: results are bit-identical under
-    any of them, so reruns at different parallelism or on the AST
-    cross-check interpreter share the fingerprint (and ``compare``
-    treats them as the same campaign)."""
-    payload = {
-        "n_programs": n_programs,
-        "seed_base": seed_base,
-        "version": version,
-        "generator_config": (
-            asdict(generator_config) if generator_config is not None else None
-        ),
-        "compare_level": compare_level,
-        "incremental": incremental,
-    }
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    return digest[:16]
-
-
 # -- finding fingerprints --------------------------------------------------
 
 
@@ -487,6 +457,8 @@ class RunLedger:
         the run: the four ``store_*`` hit-counter columns then fill
         from the metrics snapshot (0 when the store was stone cold)
         instead of staying NULL."""
+        from ..core.corpus import CampaignConfig, config_fingerprint
+
         if interp is None:
             from ..interp import get_default_backend
 
@@ -507,10 +479,11 @@ class RunLedger:
         row = (
             started_at if started_at is not None else time.time(),
             wall_time,
-            config_fingerprint(
-                n_programs, seed_base, version, generator_config,
-                compare_level, incremental,
-            ),
+            config_fingerprint(CampaignConfig(
+                n_programs=n_programs, seed_base=seed_base, version=version,
+                generator_config=generator_config,
+                compare_level=compare_level, incremental=incremental,
+            )),
             n_programs,
             seed_base,
             jobs,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import parallel as parallel_mod
 from repro.core.corpus import run_campaign
-from repro.observability import MetricsRegistry
+from repro.observability import EventBus, MetricsRegistry
 from repro.testing import chaos
 
 PROGRAMS = 6
@@ -211,20 +211,26 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path):
     )
 
     class StopAfter:
+        """Bus subscriber interrupting after ``n`` finished seeds."""
+
         def __init__(self, n):
             self.remaining = n
 
-        def __call__(self, snapshot):
+        def __call__(self, event):
+            if event.type not in ("seed_done", "crash", "budget_exceeded"):
+                return
             self.remaining -= 1
             if self.remaining == 0:
                 raise KeyboardInterrupt
 
     chaos.install_plan(plan)
     try:
+        bus = EventBus()
+        bus.subscribe(StopAfter(2))
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
                 n_programs=4, seed_base=SEED_BASE, checkpoint=path,
-                progress=StopAfter(2),
+                events=bus,
             )
         metrics = MetricsRegistry()
         resumed = run_campaign(

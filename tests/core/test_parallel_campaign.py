@@ -18,6 +18,8 @@ from repro.observability import (
 
 PROGRAMS = 4
 SEED_BASE = 100
+#: the event types that close one seed's story
+TERMINAL_SEED_EVENTS = {"seed_done", "crash", "budget_exceeded"}
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +43,13 @@ def parallel():
     events = []
     bus = EventBus()
     bus.subscribe(events.append)
+    bus.subscribe(
+        lambda e: e.type in TERMINAL_SEED_EVENTS and ticks.append(e)
+    )
     result = run_campaign(
         n_programs=PROGRAMS, seed_base=SEED_BASE,
         keep_analyses=True, metrics=metrics, tracer=tracer,
-        progress=ticks.append, jobs=4, events=bus,
+        jobs=4, events=bus,
     )
     return result, metrics, tracer, ticks, events
 
@@ -116,9 +121,11 @@ def test_parallel_merges_metric_tallies(sequential, parallel):
 
 def test_parallel_progress_ticks_in_seed_order(parallel):
     ticks = parallel[3]
-    assert [t.seed for t in ticks] == list(range(SEED_BASE, SEED_BASE + PROGRAMS))
-    assert [t.completed + t.skipped for t in ticks] == list(range(1, PROGRAMS + 1))
-    assert all(t.total == PROGRAMS for t in ticks)
+    assert [t.attrs["seed"] for t in ticks] == list(
+        range(SEED_BASE, SEED_BASE + PROGRAMS)
+    )
+    assert [t.seq for t in ticks] == sorted(t.seq for t in ticks)
+    assert parallel[4][0].attrs["programs"] == PROGRAMS
 
 
 def test_parallel_spans_reparent_under_campaign(parallel):

@@ -4,11 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.observability import (
-    RunLedger,
-    config_fingerprint,
-    finding_fingerprint,
-)
+from repro.core.corpus import CampaignConfig, config_fingerprint
+from repro.observability import RunLedger, finding_fingerprint
 
 from .conftest import SMALL_CONFIG, SMALL_PROGRAMS, SMALL_SEED_BASE
 
@@ -105,13 +102,33 @@ def test_ledger_persists_across_reopen(small_campaign, tmp_path):
 
 
 def test_config_fingerprint_ignores_jobs_not_config():
-    base = config_fingerprint(10, 50, None, SMALL_CONFIG, "O3", True)
-    assert base == config_fingerprint(10, 50, None, SMALL_CONFIG, "O3", True)
-    assert base != config_fingerprint(11, 50, None, SMALL_CONFIG, "O3", True)
-    assert base != config_fingerprint(10, 51, None, SMALL_CONFIG, "O3", True)
-    assert base != config_fingerprint(10, 50, None, SMALL_CONFIG, "O2", True)
-    assert base != config_fingerprint(10, 50, None, SMALL_CONFIG, "O3", False)
-    assert base != config_fingerprint(10, 50, None, None, "O3", True)
+    config = CampaignConfig(
+        n_programs=10, seed_base=50, generator_config=SMALL_CONFIG
+    )
+
+    def with_(**fields):
+        return config_fingerprint(dataclasses.replace(config, **fields))
+
+    base = config_fingerprint(config)
+    assert base == with_()
+    assert base != with_(n_programs=11)
+    assert base != with_(seed_base=51)
+    assert base != with_(compare_level="O2")
+    assert base != with_(incremental=False)
+    assert base != with_(generator_config=None)
+    assert base == with_(jobs=4, window=1, interp="ast")
+
+
+def test_config_fingerprint_golden_values():
+    """Pinned to the fingerprints earlier releases wrote, so runs in
+    existing ledgers stay comparable."""
+    assert config_fingerprint(
+        CampaignConfig(n_programs=50, seed_base=0)
+    ) == "b53df36fa1d7fdc3"
+    assert config_fingerprint(CampaignConfig(
+        n_programs=4, seed_base=100, version=3, generator_config=None,
+        compare_level="O2", incremental=False,
+    )) == "54240a8069262f9a"
 
 
 def test_structural_fingerprint_deterministic(small_campaign):
