@@ -69,7 +69,6 @@ def default_specs() -> list[CompilerSpec]:
 def analyze_source(
     source: str,
     specs: list[CompilerSpec] | None = None,
-    incremental: bool = True,
     verify_ir: bool = False,
 ) -> AnalysisReport:
     """Instrument, ground-truth, and differentially compile a program
@@ -79,15 +78,12 @@ def analyze_source(
     and fails loudly (naming the pass) if one produces malformed IR.
     """
     program = parse_program(source)
-    return analyze_program(
-        program, specs, incremental=incremental, verify_ir=verify_ir
-    )
+    return analyze_program(program, specs, verify_ir=verify_ir)
 
 
 def analyze_program(
     program,
     specs: list[CompilerSpec] | None = None,
-    incremental: bool = True,
     verify_ir: bool = False,
 ) -> AnalysisReport:
     specs = specs or default_specs()
@@ -96,7 +92,7 @@ def analyze_program(
     truth = compute_ground_truth(instrumented, info=info)
     analysis = analyze_markers(
         instrumented, specs, info=info, ground_truth=truth,
-        incremental=incremental, verify_ir=verify_ir,
+        verify_ir=verify_ir,
     )
     graph = build_marker_graph(instrumented, truth.executed_functions(), info)
     report = AnalysisReport(analysis)

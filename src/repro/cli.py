@@ -83,11 +83,6 @@ def main(argv: list[str] | None = None) -> int:
         help="print the span tree (compiles, pipelines, interpreter runs)",
     )
     p_analyze.add_argument(
-        "--no-incremental", action="store_true",
-        help="compile every spec independently instead of sharing pass "
-             "work through the incremental engine (identical results)",
-    )
-    p_analyze.add_argument(
         "--verify-ir", action="store_true",
         help="run the IR verifier after every optimization pass and "
              "fail loudly (naming the pass) on malformed IR",
@@ -150,11 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="shard seeds across N worker processes (0 = one per CPU); "
              "results are identical to --jobs 1 regardless of N",
-    )
-    p_campaign.add_argument(
-        "--no-incremental", action="store_true",
-        help="compile every spec independently instead of sharing pass "
-             "work through the incremental engine (identical results)",
     )
     p_campaign.add_argument(
         "--no-bytecode", action="store_true",
@@ -390,21 +380,18 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "analyze":
-        incremental = not args.no_incremental
         if args.trace:
             tracer = Tracer()
             with use_tracer(tracer):
                 report = api.analyze_source(
-                    _read(args.file), incremental=incremental,
-                    verify_ir=args.verify_ir,
+                    _read(args.file), verify_ir=args.verify_ir,
                 )
             print(report.summary())
             print("\ntrace:")
             print(format_trace(tracer))
         else:
             report = api.analyze_source(
-                _read(args.file), incremental=incremental,
-                verify_ir=args.verify_ir,
+                _read(args.file), verify_ir=args.verify_ir,
             )
             print(report.summary())
     elif args.command == "generate":
@@ -434,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         _campaign(args.programs, args.seed_base,
                   metrics_out=args.metrics_out, show_progress=args.progress,
-                  jobs=args.jobs, incremental=not args.no_incremental,
+                  jobs=args.jobs,
                   seed_budget=args.seed_budget, checkpoint=args.checkpoint,
                   chaos_specs=args.chaos, events_out=args.events_out,
                   ledger_path=args.ledger, dashboard=args.dashboard,
@@ -736,7 +723,6 @@ def _campaign(
     metrics_out: str | None = None,
     show_progress: bool = False,
     jobs: int = 1,
-    incremental: bool = True,
     seed_budget: float | None = None,
     checkpoint: str | None = None,
     chaos_specs: list[str] | None = None,
@@ -804,8 +790,7 @@ def _campaign(
     try:
         result = run_campaign(
             n_programs=n_programs, seed_base=seed_base,
-            metrics=metrics, jobs=jobs,
-            incremental=incremental, seed_budget=seed_budget,
+            metrics=metrics, jobs=jobs, seed_budget=seed_budget,
             checkpoint=checkpoint, events=events, interp=interp,
             window=window, reduction=reduction, store=store,
         )
@@ -846,7 +831,7 @@ def _campaign(
         with RunLedger(ledger_path) as ledger:
             run_id = ledger.record_run(
                 result, n_programs=n_programs, seed_base=seed_base,
-                jobs=jobs, incremental=incremental, metrics=metrics,
+                jobs=jobs, metrics=metrics,
                 wall_time=wall_time, started_at=started_at,
                 reduce_findings=reduce_findings, interp=interp,
                 window=window,
@@ -868,12 +853,11 @@ def _campaign(
             f"calls, {stats.cache_hits} memo hits across "
             f"{stats.jobs} worker(s)"
         )
-    if result.crashes or result.budget_exceeded or result.degraded:
+    if result.crashes or result.budget_exceeded:
         print(
             f"fault isolation: {len(result.crashes)} crashes in "
             f"{len(result.crash_buckets)} buckets, "
-            f"{len(result.budget_exceeded)} over budget, "
-            f"{len(result.degraded)} degraded (non-incremental retry)"
+            f"{len(result.budget_exceeded)} over budget"
         )
         if result.crashes:
             print(_crash_bucket_table(result.crash_buckets))
@@ -950,7 +934,7 @@ def _runs(path: str, config: str | None, limit: int | None) -> int:
         str(r.crashed),
         f"{r.dead_pct:.1f}%",
         f"{r.wall_time:.1f}s",
-        f"j{r.jobs}" + ("" if r.incremental else " noinc")
+        f"j{r.jobs}"
         + ("" if (r.interp or "bytecode") == "bytecode" else f" {r.interp}"),
     ] for r in rows]
     print(format_table(
@@ -1025,7 +1009,6 @@ def _compare(
             return 1
     fraction = threshold_pct / 100.0
     comparison = compare_runs(baseline, candidate, CompareThresholds(
-        pass_execs_saved_drop=fraction,
         compilations_increase=fraction,
         yield_drop=fraction,
     ))

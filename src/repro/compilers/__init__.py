@@ -2,7 +2,6 @@
 
 from .config import FULL_PIPELINE, PipelineConfig
 from .driver import CompilationResult, CompilerSpec, compile_minic
-from .incremental import IncrementalCompilation, IncrementalEngine
 from .pipeline import PassPipelineError, run_pipeline
 from .vendors import FAMILIES, GCCLIKE, LEVELS, LLVMLIKE, O0, O1, O2, O3, OS
 from .versions import Commit, commit_at, config_at, history, latest
@@ -14,8 +13,6 @@ __all__ = [
     "FAMILIES",
     "FULL_PIPELINE",
     "GCCLIKE",
-    "IncrementalCompilation",
-    "IncrementalEngine",
     "LEVELS",
     "LLVMLIKE",
     "O0",

@@ -25,7 +25,9 @@ a regression mechanism from the paper's evaluation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
 
 
 @dataclass
@@ -119,24 +121,6 @@ class PipelineConfig:
         """A copy of this config with ``changes`` applied."""
         return replace(self, **changes)
 
-    def knobs_for(self, pass_name: str) -> tuple:
-        """The knob values ``pass_name`` actually reads, as a hashable
-        projection suitable for keying shared pipeline work.
-
-        Two configs with equal ``knobs_for(p)`` behave identically when
-        running pass ``p`` on the same module — the contract the
-        incremental engine's prefix tree is built on (knob lists are
-        pinned against the pass sources by tests).  A pass whose gate
-        knob is off projects to a bare ``(False,)``: its sub-knobs are
-        never consulted, so configs that differ only there still share.
-        """
-        gate = PASS_GATES.get(pass_name)
-        if gate is not None and not getattr(self, gate):
-            return (False,)
-        return tuple(
-            getattr(self, name) for name in PASS_KNOB_FIELDS[pass_name]
-        )
-
     def describe_diff(self, other: "PipelineConfig") -> list[str]:
         """Human-readable field-by-field diff (for reports/bisection)."""
         out = []
@@ -147,49 +131,17 @@ class PipelineConfig:
         return out
 
 
-#: Which :class:`PipelineConfig` fields each registered pass reads.
-#: This table is the ground truth for :meth:`PipelineConfig.knobs_for`;
-#: tests pin it against the actual ``config.<field>`` reads in each
-#: pass source so a new knob cannot silently invalidate prefix sharing.
-PASS_KNOB_FIELDS: dict[str, tuple[str, ...]] = {
-    "simplify-cfg": (),
-    "mem2reg": (),
-    "adce": (),
-    "cprop": (),
-    "chaos": (),
-    "sccp": ("addr_cmp",),
-    "instcombine": (
-        "addr_cmp",
-        "collapse_cast_chains",
-        "fold_cmp_chains",
-        "peephole_algebraic",
-    ),
-    "gvn": ("alias_max_objects", "gvn_across_calls", "store_forwarding"),
-    "memcp": ("alias_max_objects", "global_fold_mode"),
-    "dse": ("alias_max_objects", "dse", "dse_dead_at_exit"),
-    "inline": ("inline_budget", "inline_single_call_bonus"),
-    "globalopt": (
-        "alias_max_objects",
-        "fold_uniform_const_arrays",
-        "global_fold_mode",
-    ),
-    "unroll": ("unroll_max_trip", "unroll_max_body"),
-    "unswitch": ("unswitch", "unswitch_max_body"),
-    "vectorize": ("vectorize", "vectorize_min_trip"),
-    "vrp": ("vrp", "vrp_extended_ops", "vrp_widen_after"),
-    "jump-threading": ("jump_threading",),
-    "licm": ("alias_max_objects",),
-}
+def config_fingerprint_of(config: PipelineConfig) -> str:
+    """Stable identity of one pipeline config across processes.
 
-#: Passes guarded by a boolean gate knob: when the gate is False the
-#: pass returns immediately without reading any other knob.
-PASS_GATES: dict[str, str] = {
-    "dse": "dse",
-    "unswitch": "unswitch",
-    "vectorize": "vectorize",
-    "vrp": "vrp",
-    "jump-threading": "jump_threading",
-}
+    Every :class:`PipelineConfig` field is a JSON-serializable
+    primitive (the pass tuple serializes as a list), so the sorted
+    JSON dump is canonical.  This keys the persistent compile memo in
+    :mod:`repro.store` together with
+    :func:`~repro.ir.printer.fingerprint_module` of the lowered input.
+    """
+    payload = json.dumps(asdict(config), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 #: The canonical full pipeline order.  Levels/families choose subsets;

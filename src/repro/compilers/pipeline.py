@@ -8,6 +8,11 @@ optimization markers whose calls disappeared during the pass — the
 per-pass attribution that powers ``dce-hunt profile`` and the
 component tables (see :mod:`repro.observability.attribution`).  With
 tracing disabled none of the bookkeeping runs.
+
+Given a metrics registry, every pass that eliminates markers also bumps
+``attribution.marker_kills/<pass>`` by the number it killed — the run
+ledger's pass-attribution rollup, counted once per compiled config.
+Without a registry the marker scan is skipped entirely.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from ..ir import instructions as ins
 from ..ir.function import Module
 from ..ir.verify import VerificationError, verify_module
 from ..observability.attribution import PASS_SPAN, PIPELINE_SPAN
+from ..observability.metrics import MetricsRegistry
 from ..observability.tracer import Tracer, current_tracer
 from ..passes.registry import PASS_REGISTRY, available_passes
 from ..testing.chaos import trigger as _chaos_trigger
@@ -26,6 +32,9 @@ from .config import PipelineConfig
 #: :data:`repro.core.markers.MARKER_PREFIX`; kept literal to avoid a
 #: compilers → core import cycle)
 MARKER_PREFIX = "DCEMarker"
+
+#: per-pass marker-attribution counter prefix
+MARKER_KILLS = "attribution.marker_kills"
 
 
 class PassPipelineError(RuntimeError):
@@ -91,8 +100,7 @@ def execute_pass(
     """Run one (already validated) pass over ``module`` in place.
 
     Returns the pass's changed flag; wraps failures in
-    :class:`PassPipelineError`.  Shared by :func:`run_pipeline` and the
-    incremental engine so both execute passes identically.
+    :class:`PassPipelineError`.
 
     Every pass boundary polls the cooperative seed budget
     (:mod:`repro.budget`): a :class:`SeedBudgetExceeded` is a skip
@@ -124,18 +132,22 @@ def run_pipeline(
     verify_each: bool = False,
     tracer: Tracer | None = None,
     marker_prefix: str = MARKER_PREFIX,
+    metrics: MetricsRegistry | None = None,
 ) -> list[str]:
     """Run ``config.passes`` over ``module`` in order.
 
     Returns the list of pass names that reported changes.  With
     ``verify_each`` the IR verifier runs after every pass (slow; used
-    by the test suite to localize pass bugs).
+    by the test suite to localize pass bugs).  With ``metrics`` each
+    pass's marker kills are counted (see the module docstring).
     """
     validate_passes(config.passes)
     if tracer is None:
         tracer = current_tracer()
     if not tracer.enabled:
-        return _run_untraced(module, config, verify_each)
+        return _run_untraced(
+            module, config, verify_each, marker_prefix, metrics
+        )
 
     changed_by: list[str] = []
     with tracer.span(
@@ -160,6 +172,8 @@ def run_pipeline(
                     blocks_after=blocks_after,
                     markers_eliminated=sorted(markers_before - markers_after),
                 )
+            if metrics is not None:
+                _count_kills(metrics, name, markers_before, markers_after)
             markers_before = markers_after
         pipeline_span.set("markers_after", len(markers_before))
         pipeline_span.set("changed_passes", len(changed_by))
@@ -167,11 +181,34 @@ def run_pipeline(
 
 
 def _run_untraced(
-    module: Module, config: PipelineConfig, verify_each: bool
+    module: Module,
+    config: PipelineConfig,
+    verify_each: bool,
+    marker_prefix: str,
+    metrics: MetricsRegistry | None,
 ) -> list[str]:
-    """The measurement-free hot path (pass names already validated)."""
+    """The measurement-free hot path (pass names already validated);
+    markers are scanned only to count kills into ``metrics``."""
     changed_by: list[str] = []
+    markers_before = (
+        module_markers(module, marker_prefix) if metrics is not None else None
+    )
     for name in config.passes:
         if execute_pass(module, name, config, verify_each):
             changed_by.append(name)
+        if metrics is not None:
+            markers_after = module_markers(module, marker_prefix)
+            _count_kills(metrics, name, markers_before, markers_after)
+            markers_before = markers_after
     return changed_by
+
+
+def _count_kills(
+    metrics: MetricsRegistry,
+    name: str,
+    markers_before: frozenset[str],
+    markers_after: frozenset[str],
+) -> None:
+    killed = len(markers_before - markers_after)
+    if killed:
+        metrics.counter(f"{MARKER_KILLS}/{name}").inc(killed)

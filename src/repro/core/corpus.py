@@ -66,7 +66,6 @@ class CampaignConfig:
     version: int | None = None
     generator_config: GeneratorConfig | None = None
     compare_level: str = "O3"
-    incremental: bool = True
     seed_budget: float | None = None
     #: ground-truth interpreter backend (None = process default)
     interp: str | None = None
@@ -96,7 +95,9 @@ def config_fingerprint(config: CampaignConfig) -> str:
             asdict(generator_config) if generator_config is not None else None
         ),
         "compare_level": config.compare_level,
-        "incremental": config.incremental,
+        # the removed compile-engine switch, pinned at its old default
+        # so ledgers recorded before its removal keep their fingerprint
+        "incremental": True,
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()
@@ -168,9 +169,6 @@ class CampaignResult:
     #: seeds skipped because they exceeded the per-seed wall-clock
     #: budget (``seed_budget``)
     budget_exceeded: list[int] = field(default_factory=list)
-    #: seeds whose incremental compile crashed but whose plain retry
-    #: succeeded (their outcomes are in ``seeds`` as usual)
-    degraded: list[int] = field(default_factory=list)
     #: marker-yield accumulators per program shape
     #: (:func:`repro.core.shapes.program_shape`)
     by_shape: dict[str, ShapeStats] = field(default_factory=dict)
@@ -232,7 +230,7 @@ def analyze_envelope(
     with current_tracer().span("campaign.program", seed=seed) as span:
         report = analyze_one_resilient(
             seed, specs, config.version, config.generator_config,
-            metrics=metrics, incremental=config.incremental,
+            metrics=metrics,
             seed_budget=config.seed_budget, interp=config.interp,
             store=session,
         )
@@ -241,8 +239,6 @@ def analyze_envelope(
             span.set("crashed", report.crash.bucket)
         if report.budget_exceeded:
             span.set("budget_exceeded", True)
-        if report.degraded:
-            span.set("degraded", True)
     if metrics is not None:
         metrics.histogram("campaign.program_latency_ms").observe(
             (time.perf_counter() - start) * 1e3
@@ -296,7 +292,6 @@ def run_campaign(
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     jobs: int = 1,
-    incremental: bool = True,
     seed_budget: float | None = None,
     checkpoint: str | None = None,
     events: EventBus | None = None,
@@ -333,10 +328,6 @@ def run_campaign(
     in seed order regardless of completion order — while worker
     metrics snapshots fold into ``metrics`` and worker spans re-parent
     under the campaign span.
-
-    ``incremental`` selects the prefix-shared compilation engine per
-    seed (:mod:`repro.compilers.incremental`, identical results);
-    ``False`` compiles every spec independently.
 
     ``interp`` selects the ground-truth interpreter backend
     (``"bytecode"``/``"ast"``; ``None`` uses the process default,
@@ -386,7 +377,7 @@ def run_campaign(
     config = CampaignConfig(
         n_programs=n_programs, seed_base=seed_base, version=version,
         generator_config=generator_config, compare_level=compare_level,
-        incremental=incremental, seed_budget=seed_budget, interp=interp,
+        seed_budget=seed_budget, interp=interp,
         keep_analyses=keep_analyses, jobs=jobs, window=window,
     )
     result = CampaignResult()
@@ -422,7 +413,7 @@ def run_campaign(
         # no jobs/window attrs: the stream must not betray scheduling
         events.emit(
             ev.CAMPAIGN_START, programs=n_programs, seed_base=seed_base,
-            compare_level=compare_level, incremental=incremental,
+            compare_level=compare_level,
         )
 
     with use_tracer(tracer), tracer.span(
@@ -526,7 +517,6 @@ def campaign_end_attrs(result: CampaignResult) -> dict:
         "skipped": len(result.skipped),
         "crashed": len(result.crashes),
         "budget_exceeded": len(result.budget_exceeded),
-        "degraded": len(result.degraded),
         "total_markers": result.total_markers,
         "total_dead": result.total_dead,
         "findings": len(result.findings),
@@ -546,7 +536,7 @@ def _merge_report(
 ) -> None:
     """Fold one per-seed :class:`SeedReport` into the campaign result
     (fresh, journaled and stored seeds alike, so all three count
-    crashes/budget/degraded identically)."""
+    crashes/budget identically)."""
     if report.budget_exceeded:
         result.budget_exceeded.append(report.seed)
         if metrics is not None:
@@ -565,10 +555,6 @@ def _merge_report(
         )
         if config.keep_analyses:
             result.analyses.append(report.outcome)
-        if report.degraded:
-            result.degraded.append(report.seed)
-            if metrics is not None:
-                metrics.counter("campaign.degraded").inc()
 
 
 #: signals that interrupt a checkpointed campaign: Ctrl-C and the
@@ -632,7 +618,6 @@ def analyze_one(
     version: int | None = None,
     generator_config: GeneratorConfig | None = None,
     metrics: MetricsRegistry | None = None,
-    incremental: bool = True,
 ) -> ProgramOutcome | None:
     """Generate + instrument + ground-truth + compile one seed.
 
@@ -648,7 +633,6 @@ def analyze_one(
         return None
     analysis = analyze_markers(
         instrumented, specs, info=info, ground_truth=truth, metrics=metrics,
-        incremental=incremental,
     )
     return ProgramOutcome(
         seed, len(instrumented.markers), len(truth.dead), analysis

@@ -20,8 +20,9 @@ from dataclasses import astuple, dataclass, field
 
 from ..backend.asm import alive_markers as asm_alive_markers
 from ..backend.asm import emit_module
-from ..compilers import CompilerSpec, IncrementalEngine, compile_minic
-from ..compilers.incremental import config_fingerprint_of
+from ..compilers import CompilerSpec
+from ..compilers.config import config_fingerprint_of
+from ..compilers.pipeline import run_pipeline
 from ..frontend.lower import lower_program
 from ..ir.printer import fingerprint_module
 from ..frontend.typecheck import SymbolInfo, check_program
@@ -74,7 +75,6 @@ def analyze_markers(
     ground_truth: GroundTruth | None = None,
     marker_prefix: str = "DCEMarker",
     metrics: MetricsRegistry | None = None,
-    incremental: bool = True,
     verify_ir: bool = False,
     store=None,
 ) -> ProgramAnalysis:
@@ -93,16 +93,13 @@ def analyze_markers(
     ``campaign.compile_cache_hits`` counter instead of
     ``campaign.compilations``.
 
-    Distinct configs additionally share pass work through one
-    :class:`~repro.compilers.incremental.IncrementalEngine` per call:
-    the program lowers once and each config's pipeline runs over the
-    engine's prefix-shared snapshot tree, producing alive sets
-    identical to independent ``compile_minic`` runs while the
-    ``compile.pass_execs_saved`` counter records the eliminated work.
-    ``incremental=False`` restores the independent-compile path.
+    Each distinct config compiles independently, as in the paper: the
+    program is lowered afresh, the config's pass pipeline runs over it
+    (counting per-pass marker kills into ``metrics``), and the alive
+    set is read off the emitted assembly.
 
     ``verify_ir`` runs the IR verifier after every pass of every
-    compilation (both engines): a pass that produces malformed IR then
+    compilation: a pass that produces malformed IR then
     fails the compile with a
     :class:`~repro.compilers.pipeline.PassPipelineError` naming the
     offending pass, instead of silently miscounting markers downstream.
@@ -122,8 +119,6 @@ def analyze_markers(
         ground_truth = compute_ground_truth(instrumented, info=info)
     analysis = ProgramAnalysis(instrumented, ground_truth)
     tracer = current_tracer()
-    engine: IncrementalEngine | None = None
-    lowered = None
     base_fp: str | None = None
     if store is not None:
         lowered = lower_program(instrumented.program, info)
@@ -157,31 +152,16 @@ def analyze_markers(
                 )
                 continue
         if alive is None:
-            if incremental:
-                with tracer.span(
-                    "compile", spec=str(spec), incremental=True
-                ) as span:
-                    if engine is None:
-                        engine = IncrementalEngine(
-                            lower_program(instrumented.program, info),
-                            metrics=metrics,
-                            verify_each=verify_ir,
-                            marker_prefix=marker_prefix,
-                        )
-                    compilation = engine.compile(config)
-                    asm = emit_module(compilation.module)
-                    span.set("changed_passes", len(compilation.changed_passes))
-                alive = asm_alive_markers(asm, marker_prefix)
-                alive &= instrumented.marker_names
-            else:
-                result = compile_minic(
-                    instrumented.program, spec, info=info,
-                    verify_each=verify_ir,
+            with tracer.span("compile", spec=str(spec)) as span:
+                module = lower_program(instrumented.program, info)
+                changed = run_pipeline(
+                    module, config, verify_each=verify_ir, tracer=tracer,
+                    marker_prefix=marker_prefix, metrics=metrics,
                 )
-                alive = (
-                    result.alive_markers(marker_prefix)
-                    & instrumented.marker_names
-                )
+                asm = emit_module(module)
+                span.set("changed_passes", len(changed))
+            alive = asm_alive_markers(asm, marker_prefix)
+            alive &= instrumented.marker_names
             by_config[config_key] = alive
             if metrics is not None:
                 metrics.counter("campaign.compilations").inc()

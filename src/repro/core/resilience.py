@@ -11,9 +11,6 @@ This module gives our campaign engine the same property:
   traceback, a deduplication *bucket* (exception type + deepest
   in-repo frame), and a one-line repro command — instead of aborting
   the campaign (or poisoning a whole parallel shard).
-* **Graceful degradation**: a seed whose incremental compile crashes
-  is retried once with ``incremental=False``; only a second failure
-  counts as a crash (the retry is tallied as *degraded*).
 * **Wall-clock budgets**: ``seed_budget`` arms a cooperative deadline
   (:mod:`repro.budget`) polled at pass boundaries and at the
   interpreter's step check, so runaway seeds become ``budget_exceeded``
@@ -184,8 +181,6 @@ class SeedReport:
     skipped: bool = False
     crash: CrashEnvelope | None = None
     budget_exceeded: bool = False
-    #: the incremental engine crashed but the plain retry succeeded
-    degraded: bool = False
 
     @property
     def completed(self) -> bool:
@@ -198,7 +193,6 @@ def analyze_one_resilient(
     version: int | None = None,
     generator_config: GeneratorConfig | None = None,
     metrics: MetricsRegistry | None = None,
-    incremental: bool = True,
     seed_budget: float | None = None,
     interp: str | None = None,
     store=None,
@@ -216,7 +210,7 @@ def analyze_one_resilient(
     try:
         with budget.deadline(seed_budget):
             _run_phases(report, seed, specs, version, generator_config,
-                        metrics, incremental, interp, store)
+                        metrics, interp, store)
     except SeedBudgetExceeded:
         report.outcome = None
         report.crash = None
@@ -233,7 +227,6 @@ def _run_phases(
     version: int | None,
     generator_config: GeneratorConfig | None,
     metrics: MetricsRegistry | None,
-    incremental: bool,
     interp: str | None,
     store=None,
 ) -> None:
@@ -267,29 +260,13 @@ def _run_phases(
         chaos.trigger("analyze")
         analysis = analyze_markers(
             instrumented, specs, info=info, ground_truth=truth,
-            metrics=metrics, incremental=incremental, store=store,
+            metrics=metrics, store=store,
         )
     except SeedBudgetExceeded:
         raise
     except Exception as err:
-        if not incremental:
-            report.crash = crash_envelope(seed, _analyze_phase(err), err)
-            return
-        # graceful degradation: one retry on the independent-compile
-        # path before the seed counts as crashed
-        try:
-            analysis = analyze_markers(
-                instrumented, specs, info=info, ground_truth=truth,
-                metrics=metrics, incremental=False, store=store,
-            )
-        except SeedBudgetExceeded:
-            raise
-        except Exception as retry_err:
-            report.crash = crash_envelope(
-                seed, _analyze_phase(retry_err), retry_err
-            )
-            return
-        report.degraded = True
+        report.crash = crash_envelope(seed, _analyze_phase(err), err)
+        return
     report.outcome = ProgramOutcome(
         seed, len(instrumented.markers), len(truth.dead), analysis
     )
@@ -419,8 +396,6 @@ def _record_from_report(report: SeedReport) -> dict:
     else:
         status = "ok"
     record: dict = {"seed": report.seed, "status": status}
-    if report.degraded:
-        record["degraded"] = True
     if report.crash is not None:
         record["crash"] = report.crash.to_dict()
     if report.outcome is not None:
@@ -433,7 +408,6 @@ def _record_from_report(report: SeedReport) -> dict:
 def _report_from_record(record: dict) -> SeedReport:
     status = record["status"]
     report = SeedReport(seed=record["seed"])
-    report.degraded = bool(record.get("degraded", False))
     if status == "budget":
         report.budget_exceeded = True
     elif status == "crash":

@@ -11,8 +11,8 @@ from .values import GlobalRef, Param, Value
 
 #: Optional boolean attributes loop passes set on header blocks to
 #: claim a loop (``vectorize`` → ``no_unroll``, ``unswitch`` →
-#: ``unswitched``).  They gate later transformations, so structural
-#: clones and fingerprints must account for them.
+#: ``unswitched``).  They gate later transformations, so fingerprints
+#: must account for them.
 BLOCK_TAGS = ("no_unroll", "unswitched")
 
 
@@ -256,9 +256,3 @@ class Module:
 
     def is_opaque(self, name: str) -> bool:
         return name in self.externs
-
-    def clone(self) -> "Module":
-        """A fully detached structural copy (see :mod:`repro.ir.clone`)."""
-        from .clone import clone_module
-
-        return clone_module(self)

@@ -206,8 +206,6 @@ def seed_outcome_records(report) -> list[tuple[str, dict[str, Any]]]:
         "markers": report.outcome.marker_count,
         "dead": report.outcome.dead_count,
     }
-    if report.degraded:
-        attrs["degraded"] = True
     return [(SEED_DONE, attrs)]
 
 

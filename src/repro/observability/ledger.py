@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # heavyweight sibling packages import this module's
     from ..lang import ast_nodes as ast
 
 #: metrics counter prefix holding the per-pass marker-kill rollup
-#: (written by the incremental engine)
+#: (written by the pass pipeline, once per compiled config)
 ATTRIBUTION_PREFIX = "attribution.marker_kills/"
 
 _SCHEMA = """
@@ -249,14 +249,12 @@ class RunRow:
     programs: int
     seed_base: int
     jobs: int
-    incremental: bool
     compare_level: str
     version: int | None
     completed: int
     skipped: int
     crashed: int
     budget_exceeded: int
-    degraded: int
     total_markers: int
     total_dead: int
     total_alive: int
@@ -423,7 +421,6 @@ class RunLedger:
         n_programs: int,
         seed_base: int,
         jobs: int = 1,
-        incremental: bool = True,
         compare_level: str = "O3",
         version: int | None = None,
         generator_config: GeneratorConfig | None = None,
@@ -482,19 +479,21 @@ class RunLedger:
             config_fingerprint(CampaignConfig(
                 n_programs=n_programs, seed_base=seed_base, version=version,
                 generator_config=generator_config,
-                compare_level=compare_level, incremental=incremental,
+                compare_level=compare_level,
             )),
             n_programs,
             seed_base,
             jobs,
-            int(incremental),
+            # `incremental` (1) and `degraded` (0) stay in the schema so
+            # existing ledgers need no migration
+            1,
             compare_level,
             version,
             len(result.seeds),
             len(result.skipped),
             len(result.crashes),
             len(result.budget_exceeded),
-            len(result.degraded),
+            0,
             result.total_markers,
             result.total_dead,
             result.total_alive,
@@ -965,14 +964,12 @@ class RunLedger:
             programs=row["programs"],
             seed_base=row["seed_base"],
             jobs=row["jobs"],
-            incremental=bool(row["incremental"]),
             compare_level=row["compare_level"],
             version=row["version"],
             completed=row["completed"],
             skipped=row["skipped"],
             crashed=row["crashed"],
             budget_exceeded=row["budget_exceeded"],
-            degraded=row["degraded"],
             total_markers=row["total_markers"],
             total_dead=row["total_dead"],
             total_alive=row["total_alive"],

@@ -5,10 +5,6 @@ report or a self-contained HTML page (``dce-hunt report``), and
 compares two runs (``dce-hunt compare``) flagging regressions against
 configurable thresholds:
 
-* **incremental reuse drop** — ``compile.pass_execs_saved`` per
-  program fell (a run without the counter scores 0, so a
-  ``--no-incremental`` run against an incremental baseline flags a
-  100% drop);
 * **compilation-cost increase** — ``campaign.compilations`` per
   program rose (cache or sharing regression);
 * **yield drop** — findings per completed program fell (generator or
@@ -31,7 +27,6 @@ from dataclasses import dataclass, field
 
 from .ledger import FindingRow, RunRow
 
-PASS_EXECS_SAVED = "compile.pass_execs_saved"
 COMPILATIONS = "campaign.compilations"
 INTERP_STEPS = "interp.steps"
 
@@ -54,7 +49,6 @@ PERCENTILE_KEYS = ("p50", "p90", "p99")
 class CompareThresholds:
     """Relative-change limits; fractions (0.10 = 10%)."""
 
-    pass_execs_saved_drop: float = 0.10
     compilations_increase: float = 0.10
     yield_drop: float = 0.10
     steps_per_sec_drop: float = 0.10
@@ -137,13 +131,6 @@ def compare_runs(
         return delta
 
     add(
-        "pass_execs_saved/program",
-        baseline.per_program(PASS_EXECS_SAVED),
-        candidate.per_program(PASS_EXECS_SAVED),
-        bad_drop=limits.pass_execs_saved_drop,
-        note="incremental-engine reuse",
-    )
-    add(
         "compilations/program",
         baseline.per_program(COMPILATIONS),
         candidate.per_program(COMPILATIONS),
@@ -218,10 +205,10 @@ def _report_sections(
 
     sections.append((
         "Outcome",
-        [("completed", "skipped", "crashed", "budget", "degraded",
+        [("completed", "skipped", "crashed", "budget",
           "markers", "dead", "dead %", "findings", "soundness")],
         [(run.completed, run.skipped, run.crashed, run.budget_exceeded,
-          run.degraded, run.total_markers, run.total_dead,
+          run.total_markers, run.total_dead,
           f"{run.dead_pct:.1f}", run.findings, run.soundness_violations)],
     ))
 
@@ -356,7 +343,6 @@ def _run_header(run: RunRow) -> list[str]:
         f"  config {run.config_fingerprint}",
         f"  {run.programs} programs from seed {run.seed_base}, "
         f"compare {run.compare_level}, jobs={run.jobs}, "
-        f"incremental={'on' if run.incremental else 'off'}, "
         f"{_interp_blurb(run)}, "
         f"wall {run.wall_time:.1f}s",
     ]
@@ -437,7 +423,6 @@ def run_report_html(
             f"{_fmt_when(run.started_at)} · config {run.config_fingerprint}"
             f" · {run.programs} programs from seed {run.seed_base}"
             f" · compare {run.compare_level} · jobs={run.jobs}"
-            f" · incremental={'on' if run.incremental else 'off'}"
             f" · {_interp_blurb(run)}"
             f" · wall {run.wall_time:.1f}s"
         )

@@ -55,7 +55,7 @@ JOURNAL_DIR = "journals"
 #: payload keys every job type accepts
 _COMMON_KEYS = {
     "config", "jobs", "seed_budget", "compare_level", "version",
-    "incremental", "reduce", "bisect",
+    "reduce", "bisect",
 }
 _SEEDS_KEYS = _COMMON_KEYS | {"seeds"}
 _CAMPAIGN_KEYS = _COMMON_KEYS | {"programs", "seed_base"}
@@ -220,7 +220,6 @@ class CampaignService:
         )
         version = payload.get("version")
         compare_level = payload.get("compare_level", "O3")
-        incremental = payload.get("incremental", True)
         engine_jobs = payload.get("jobs", 1)
         summary = {
             "seeds": 0, "findings": 0, "crashes": 0, "skipped": 0,
@@ -242,7 +241,6 @@ class CampaignService:
                     compare_level=compare_level,
                     metrics=self.metrics,
                     jobs=engine_jobs,
-                    incremental=incremental,
                     seed_budget=payload.get("seed_budget"),
                     checkpoint=self.journal_path(job.job_id),
                     interp=None,
@@ -293,7 +291,6 @@ class CampaignService:
                 n_programs=payload["programs"],
                 seed_base=payload["seed_base"],
                 jobs=payload.get("jobs", 1),
-                incremental=payload.get("incremental", True),
                 compare_level=payload.get("compare_level", "O3"),
                 version=payload.get("version"),
                 generator_config=config,

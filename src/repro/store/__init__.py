@@ -1,7 +1,7 @@
 """Persistent content-addressed artifact store.
 
-Every in-process cache the campaign engine has grown (incremental
-prefix tree, reduction oracle memo, per-config compile memo) dies with
+Every in-process cache the campaign engine has grown (reduction
+oracle memo, per-config compile memo) dies with
 the process; this package makes them durable.  :class:`ArtifactStore`
 is a single SQLite file holding zlib-compressed program text keyed by
 sha256 plus memo tables for compile results, ground-truth executions,

@@ -11,7 +11,7 @@ performs is memoized in a table keyed by the hashes of its inputs:
 ``compile_memo``
     ``(module fingerprint, pipeline-config fingerprint) →`` the set of
     markers the pipeline eliminated — the persistent L2 behind the
-    incremental engine's in-memory prefix tree.
+    per-call config dedup in the differential layer.
 ``truth_memo``
     ``(instrumented-program hash, step limit) →`` a summary of the
     reference execution (including step-limit blowups, which are as
@@ -134,14 +134,13 @@ def seed_scope_fingerprint(version, generator_config) -> str:
 def report_is_cacheable(report) -> bool:
     """Only deterministic, machine-independent outcomes are stored.
 
-    ``ok`` (complete, non-degraded) and ``skipped`` (step-limit) seeds
+    ``ok`` (complete) and ``skipped`` (step-limit) seeds
     replay identically anywhere; crashes and wall-clock budget blowups
     are transient and must be retried cold.
     """
     return (
         report.crash is None
         and not report.budget_exceeded
-        and not report.degraded
         and (report.skipped or report.outcome is not None)
     )
 

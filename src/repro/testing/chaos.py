@@ -16,9 +16,6 @@ Sites currently wired:
 ``instrument``            marker instrumentation + type check
 ``ground_truth``          interpreter-based liveness oracle
 ``analyze``               differential compilation + marker comparison
-``incremental``           :meth:`IncrementalEngine.compile` only — faults
-                          here vanish on the non-incremental retry, which
-                          is exactly what the degraded-seed path needs
 ``pass:<name>``           :func:`execute_pass` boundary for one pass
 ``chaos``                 the registered no-op ``chaos`` pass (below)
 ``store_write``           :class:`~repro.store.ArtifactStore` write paths —

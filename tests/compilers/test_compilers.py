@@ -8,6 +8,7 @@ from repro.compilers import (
     history,
     latest,
 )
+from repro.compilers.config import config_fingerprint_of
 from repro.compilers.vendors import FAMILIES, LEVELS, base_config
 from repro.compilers.versions import commit_at
 
@@ -95,6 +96,15 @@ def test_describe_diff_lists_changes():
     diff = a.describe_diff(b)
     assert any("vrp" in line for line in diff)
     assert any("inline_budget" in line for line in diff)
+
+
+def test_config_fingerprint_of_golden_values():
+    """Pinned: these key the artifact store's compile memo, so stores
+    filled by earlier releases keep hitting."""
+    gcc_o2 = config_at("gcclike", "O2")
+    llvm_o3 = config_at("llvmlike", "O3")
+    assert config_fingerprint_of(gcc_o2) == "452bc3109211d516"
+    assert config_fingerprint_of(llvm_o3) == "bba335e03680dbce"
 
 
 def test_compile_returns_asm_and_markers():

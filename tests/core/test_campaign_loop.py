@@ -1,9 +1,13 @@
 """The single campaign seed loop: its config object, its envelope
 sources, and the properties the jobs=1 and jobs>1 paths share."""
 
+import json
 import os
+import pickle
+import sqlite3
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -93,3 +97,61 @@ def test_fully_replayed_parallel_campaign_starts_no_pool(
     assert warm.seeds == cold.seeds
     assert warm.by_level == cold.by_level
     assert warm.findings == cold.findings
+
+
+def _flag_degraded(journal_path: str, store_path: str) -> None:
+    """Mark every journal record and stored seed blob ``degraded`` —
+    the flag the removed non-incremental retry used to write."""
+    with open(journal_path) as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    with open(journal_path, "w") as handle:
+        for record in records:
+            handle.write(json.dumps(dict(record, degraded=True)) + "\n")
+    con = sqlite3.connect(store_path)
+    with con:
+        rows = con.execute(
+            "SELECT scope_fp, seed, report FROM seed_analyses"
+        ).fetchall()
+        for scope_fp, seed, blob in rows:
+            report = pickle.loads(zlib.decompress(blob))
+            report.__dict__["degraded"] = True
+            con.execute(
+                "UPDATE seed_analyses SET report = ?"
+                " WHERE scope_fp = ? AND seed = ?",
+                (zlib.compress(pickle.dumps(report)), scope_fp, seed),
+            )
+    con.close()
+
+
+def test_degraded_journal_records_and_store_blobs_still_replay(tmp_path):
+    kwargs = dict(n_programs=2, seed_base=50, generator_config=SMALL_CONFIG)
+    journal_path = str(tmp_path / "journal.jsonl")
+    store_path = str(tmp_path / "store.sqlite")
+    store = open_store(store_path)
+    try:
+        cold = run_campaign(**kwargs, checkpoint=journal_path, store=store)
+    finally:
+        store.close()
+    assert cold.seeds
+    _flag_degraded(journal_path, store_path)
+
+    for use_journal in (True, False):
+        metrics = MetricsRegistry()
+        store = (
+            None if use_journal else open_store(store_path, metrics=metrics)
+        )
+        try:
+            warm = run_campaign(
+                **kwargs, metrics=metrics, store=store,
+                checkpoint=journal_path if use_journal else None,
+            )
+        finally:
+            if store is not None:
+                store.close()
+        assert metrics.counter("campaign.compilations").value == 0
+        assert metrics.counter("store.seeds_skipped").value == (
+            0 if use_journal else 2
+        )
+        assert warm.seeds == cold.seeds
+        assert warm.by_level == cold.by_level
+        assert warm.findings == cold.findings

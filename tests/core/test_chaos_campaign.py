@@ -103,7 +103,6 @@ def test_parallel_reports_identical_faults(chaos_seq, chaos_par):
     assert par.skipped == seq.skipped
     assert par.crashes == seq.crashes
     assert par.budget_exceeded == seq.budget_exceeded
-    assert par.degraded == seq.degraded
     assert list(par.crash_buckets) == list(seq.crash_buckets)
     assert par.crash_buckets == seq.crash_buckets
     assert par.by_level == seq.by_level
@@ -113,32 +112,6 @@ def test_parallel_reports_identical_faults(chaos_seq, chaos_par):
             par_metrics.counter(name).value
             == seq_metrics.counter(name).value
         ), name
-
-
-def test_degraded_retry_matches_plain_nonincremental_run():
-    seed = SEED_BASE
-    plan = chaos.FaultPlan(
-        (chaos.Fault(site="incremental", seeds=frozenset({seed})),)
-    )
-    chaos.install_plan(plan)
-    metrics = MetricsRegistry()
-    try:
-        degraded = run_campaign(
-            n_programs=1, seed_base=seed, keep_analyses=True,
-            metrics=metrics,
-        )
-    finally:
-        chaos.clear_plan()
-    clean = run_campaign(
-        n_programs=1, seed_base=seed, keep_analyses=True, incremental=False,
-    )
-    assert degraded.seeds == clean.seeds == [seed]
-    assert degraded.degraded == [seed]
-    assert not degraded.crashes
-    assert metrics.counter("campaign.degraded").value == 1
-    ours, theirs = degraded.analyses[0], clean.analyses[0]
-    for spec, outcome in theirs.analysis.outcomes.items():
-        assert ours.analysis.outcomes[spec].alive == outcome.alive
 
 
 def test_budget_exceeded_spin_seed_is_contained():

@@ -1,10 +1,20 @@
-from repro.compilers import CompilerSpec
+from collections import Counter
+from dataclasses import astuple
+
+import pytest
+
+from repro.compilers import CompilerSpec, run_pipeline
+from repro.core.corpus import default_specs
 from repro.core.differential import analyze_markers, missed_between_levels
 from repro.core.ground_truth import compute_ground_truth
 from repro.core.markers import instrument_program
 from repro.core.primary import build_marker_graph, primary_missed_markers
+from repro.frontend.lower import lower_program
 from repro.frontend.typecheck import check_program
+from repro.generator import generate_program
 from repro.lang import parse_program
+from repro.observability import PASS_SPAN, Tracer, use_tracer
+from repro.observability.metrics import MetricsRegistry
 
 LISTING_1 = """
 char a;
@@ -161,3 +171,60 @@ def test_self_loop_markers_do_not_block_primary():
     # Its only pred path is the live entry; the back edge to itself is
     # ignored, so a missed loop marker is primary.
     assert loop_marker in primary
+
+
+def _generated(seed):
+    inst = instrument_program(generate_program(seed))
+    info = check_program(inst.program)
+    return inst, info, compute_ground_truth(inst, info=info)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_verify_ir_does_not_change_alive_sets(seed):
+    """Every pass of every default config produces verifier-clean IR,
+    and verifying never changes what survives."""
+    inst, info, truth = _generated(seed)
+    specs = default_specs()
+    checked = analyze_markers(
+        inst, specs, info=info, ground_truth=truth, verify_ir=True
+    )
+    plain = analyze_markers(inst, specs, info=info, ground_truth=truth)
+    assert set(checked.outcomes) == set(plain.outcomes)
+    for name, outcome in checked.outcomes.items():
+        assert outcome.alive == plain.outcomes[name].alive, (seed, name)
+        assert outcome.all_markers == plain.outcomes[name].all_markers
+
+
+def test_marker_kill_counters_match_traced_pass_attribution():
+    """``attribution.marker_kills/<pass>`` counts once per compiled
+    config: it equals that pass's traced ``markers_eliminated`` summed
+    over the distinct default configs, with tracing on or off."""
+    inst, info, truth = _generated(3)
+    specs = default_specs()
+    configs = {astuple(spec.config()): spec.config() for spec in specs}
+    tracer = Tracer()
+    for config in configs.values():
+        run_pipeline(lower_program(inst.program, info), config, tracer=tracer)
+    traced = Counter()
+    for span in tracer.find(PASS_SPAN):
+        traced[span.attrs["pass"]] += len(span.attrs["markers_eliminated"])
+    expected = {name: kills for name, kills in traced.items() if kills}
+    assert expected
+
+    def kills(metrics):
+        prefix = "attribution.marker_kills/"
+        return {
+            name[len(prefix):]: entry["value"]
+            for name, entry in metrics.to_dict().items()
+            if name.startswith(prefix)
+        }
+
+    untraced = MetricsRegistry()
+    analyze_markers(inst, specs, info=info, ground_truth=truth,
+                    metrics=untraced)
+    assert kills(untraced) == expected
+    both = MetricsRegistry()
+    with use_tracer(Tracer()):
+        analyze_markers(inst, specs, info=info, ground_truth=truth,
+                        metrics=both)
+    assert kills(both) == expected

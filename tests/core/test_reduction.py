@@ -7,6 +7,7 @@ from repro.core.reduction import (
     reduce_program,
 )
 from repro.lang import parse_program, print_program
+from repro.observability.metrics import MetricsRegistry
 
 # A listing-1-flavoured program padded with removable noise.
 BLOATED = """
@@ -72,3 +73,30 @@ def test_predicate_rejects_alive_marker():
 def test_count_statements():
     program = parse_program("int main() { int a = 1; a += 2; return a; }")
     assert count_statements(program) >= 4  # block + three statements
+
+
+def test_reduction_byte_identical_with_memoized_oracle():
+    predicate = missed_marker_predicate(
+        "DCEMarker0",
+        keeper=CompilerSpec("llvmlike", "O3"),
+        witness=CompilerSpec("gcclike", "O3"),
+    )
+    metrics = MetricsRegistry()
+    memoized = reduce_program(
+        parse_program(BLOATED), predicate, metrics=metrics
+    )
+    plain = reduce_program(
+        parse_program(BLOATED), predicate, memoize_oracle=False
+    )
+    assert print_program(memoized.program) == print_program(plain.program)
+    assert memoized.attempts == plain.attempts
+    assert memoized.successes == plain.successes
+    assert memoized.stmts_before == plain.stmts_before
+    assert memoized.stmts_after == plain.stmts_after
+    # the memo actually fired, and the metrics agree with the result
+    assert memoized.oracle_cache_hits > 0
+    assert plain.oracle_cache_hits == 0
+    assert (
+        metrics.counter("reduction.oracle_cache_hits").value
+        == memoized.oracle_cache_hits
+    )

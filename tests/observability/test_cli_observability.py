@@ -149,24 +149,6 @@ def test_cli_campaign_telemetry_pipeline(tmp_path, capsys):
     assert "no regressions" in capsys.readouterr().out
 
 
-def test_cli_compare_flags_no_incremental_regression(tmp_path, capsys):
-    """The acceptance drill: an incremental run vs a --no-incremental
-    run of the same seeds flags the pass_execs_saved regression."""
-    ledger_path = str(tmp_path / "ledger.sqlite")
-    base = ["campaign", "--programs", "1", "--seed-base", "902",
-            "--ledger", ledger_path]
-    assert cli_main(base) == 0
-    assert cli_main(base + ["--no-incremental"]) == 0
-    capsys.readouterr()
-    assert cli_main([
-        "compare", ledger_path, "1", "2", "--fail-on-regression",
-    ]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
-    assert "pass_execs_saved/program" in out
-    assert "-100.0%" in out
-
-
 def test_cli_ledger_subcommands_reject_missing_files(tmp_path, capsys):
     missing = str(tmp_path / "nope.sqlite")
     assert cli_main(["runs", missing]) == 1

@@ -63,7 +63,7 @@ def test_bus_propagates_subscriber_errors():
 def _report(**over):
     base = dict(
         seed=5, outcome=None, crash=None,
-        budget_exceeded=False, degraded=False,
+        budget_exceeded=False,
     )
     base.update(over)
     return SimpleNamespace(**base)
@@ -87,14 +87,12 @@ def test_seed_outcome_records_budget_and_crash():
     assert report_status(_report()) == "skipped"
 
 
-def test_seed_outcome_records_ok_and_degraded():
+def test_seed_outcome_records_ok():
     outcome = SimpleNamespace(marker_count=12, dead_count=9)
     records = seed_outcome_records(_report(outcome=outcome))
     assert records == [
         (SEED_DONE, {"seed": 5, "status": "ok", "markers": 12, "dead": 9})
     ]
-    degraded = seed_outcome_records(_report(outcome=outcome, degraded=True))
-    assert degraded[0][1]["degraded"] is True
     assert seed_event_records(_report(outcome=outcome))[0] == (
         SEED_START, {"seed": 5}
     )

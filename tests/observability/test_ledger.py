@@ -27,7 +27,7 @@ def test_run_row_round_trips_campaign_result(small_campaign):
         row = ledger.run(run_id)
     assert row.run_id == run_id
     assert row.started_at == 1000.0
-    assert row.jobs == 3 and row.incremental is True
+    assert row.jobs == 3
     assert row.programs == SMALL_PROGRAMS
     assert row.seed_base == SMALL_SEED_BASE
     assert row.completed == len(result.seeds)
@@ -80,7 +80,7 @@ def test_same_config_twice_dedupes_findings(small_campaign):
 def test_runs_filtering_and_limit(small_campaign):
     with RunLedger(":memory:") as ledger:
         record(ledger, small_campaign, started_at=100.0)
-        record(ledger, small_campaign, incremental=False, started_at=200.0)
+        record(ledger, small_campaign, compare_level="O2", started_at=200.0)
         record(ledger, small_campaign, started_at=300.0)
         assert [r.run_id for r in ledger.runs()] == [3, 2, 1]
         assert [r.run_id for r in ledger.runs(limit=1)] == [3]
@@ -114,7 +114,6 @@ def test_config_fingerprint_ignores_jobs_not_config():
     assert base != with_(n_programs=11)
     assert base != with_(seed_base=51)
     assert base != with_(compare_level="O2")
-    assert base != with_(incremental=False)
     assert base != with_(generator_config=None)
     assert base == with_(jobs=4, window=1, interp="ast")
 
@@ -127,8 +126,8 @@ def test_config_fingerprint_golden_values():
     ) == "b53df36fa1d7fdc3"
     assert config_fingerprint(CampaignConfig(
         n_programs=4, seed_base=100, version=3, generator_config=None,
-        compare_level="O2", incremental=False,
-    )) == "54240a8069262f9a"
+        compare_level="O2",
+    )) == "4462b598336b9b87"
 
 
 def test_structural_fingerprint_deterministic(small_campaign):

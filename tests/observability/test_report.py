@@ -20,12 +20,11 @@ def mk_run(run_id=1, **over):
     base = dict(
         run_id=run_id, started_at=1_700_000_000.0, wall_time=30.0,
         config_fingerprint="cafe" * 4, programs=10, seed_base=0,
-        jobs=1, incremental=True, compare_level="O3", version=None,
+        jobs=1, compare_level="O3", version=None,
         completed=10, skipped=0, crashed=0, budget_exceeded=0,
-        degraded=0, total_markers=100, total_dead=90, total_alive=10,
+        total_markers=100, total_dead=90, total_alive=10,
         findings=5, soundness_violations=0,
         metrics={
-            "compile.pass_execs_saved": {"type": "counter", "value": 600},
             "campaign.compilations": {"type": "counter", "value": 90},
         },
     )
@@ -33,35 +32,8 @@ def mk_run(run_id=1, **over):
     return RunRow(**base)
 
 
-def test_compare_flags_pass_execs_saved_drop():
-    baseline = mk_run(1)
-    candidate = mk_run(2, metrics={
-        "compile.pass_execs_saved": {"type": "counter", "value": 300},
-        "campaign.compilations": {"type": "counter", "value": 90},
-    })
-    comparison = compare_runs(baseline, candidate)
-    assert not comparison.ok
-    [regression] = comparison.regressions
-    assert regression.name == "pass_execs_saved/program"
-    assert regression.change == pytest.approx(-0.5)
-
-
-def test_compare_treats_missing_counter_as_total_drop():
-    """A --no-incremental candidate never creates the counter: that is
-    a 100% reuse drop, not a silent pass."""
-    candidate = mk_run(2, incremental=False, metrics={
-        "campaign.compilations": {"type": "counter", "value": 90},
-    })
-    comparison = compare_runs(mk_run(1), candidate)
-    [regression] = comparison.regressions
-    assert regression.name == "pass_execs_saved/program"
-    assert regression.candidate == 0.0
-    assert regression.change == pytest.approx(-1.0)
-
-
 def test_compare_flags_compilation_increase_and_yield_drop():
     candidate = mk_run(2, findings=2, metrics={
-        "compile.pass_execs_saved": {"type": "counter", "value": 600},
         "campaign.compilations": {"type": "counter", "value": 150},
     })
     comparison = compare_runs(mk_run(1), candidate)
@@ -71,12 +43,11 @@ def test_compare_flags_compilation_increase_and_yield_drop():
 
 def test_compare_thresholds_are_configurable():
     candidate = mk_run(2, metrics={
-        "compile.pass_execs_saved": {"type": "counter", "value": 550},
-        "campaign.compilations": {"type": "counter", "value": 90},
+        "campaign.compilations": {"type": "counter", "value": 97},
     })
-    # an 8.3% drop passes the default 10% gate but fails a 5% one
+    # a 7.8% rise passes the default 10% gate but fails a 5% one
     assert compare_runs(mk_run(1), candidate).ok
-    strict = CompareThresholds(pass_execs_saved_drop=0.05)
+    strict = CompareThresholds(compilations_increase=0.05)
     assert not compare_runs(mk_run(1), candidate, strict).ok
 
 
@@ -90,12 +61,12 @@ def test_compare_identical_runs_is_clean():
 
 def test_comparison_text_names_regressions():
     candidate = mk_run(2, metrics={
-        "campaign.compilations": {"type": "counter", "value": 90},
+        "campaign.compilations": {"type": "counter", "value": 180},
     })
     text = comparison_text(compare_runs(mk_run(1), candidate))
     assert "REGRESSION" in text
-    assert "pass_execs_saved/program" in text
-    assert "-100.0%" in text
+    assert "compilations/program" in text
+    assert "+100.0%" in text
 
 
 @pytest.fixture(scope="module")

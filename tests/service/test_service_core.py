@@ -68,6 +68,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown payload keys"):
             validate_payload("seeds", {"seeds": [1], "bogus": True})
 
+    def test_removed_incremental_key_rejected(self):
+        for job_type, payload in (
+            ("seeds", {"seeds": [1]}),
+            ("campaign", {"programs": 2}),
+        ):
+            with pytest.raises(ValueError, match="unknown payload keys"):
+                validate_payload(job_type, dict(payload, incremental=False))
+
     def test_campaign_needs_programs(self):
         with pytest.raises(ValueError, match="programs"):
             validate_payload("campaign", {"seed_base": 0})
@@ -104,6 +112,21 @@ class TestExecution:
             assert "job.submitted" in types
             assert "case.found" in types
             assert types[-1] == "job.done"
+        finally:
+            service.drain(timeout=10.0)
+
+    def test_job_queued_with_incremental_key_still_runs(self, tmp_path):
+        """Jobs queued before the key was removed run as usual: the run
+        path never reads it."""
+        service = start_service(tmp_path)
+        try:
+            job, _ = service.jobs.submit(
+                "seeds",
+                {"seeds": [1], "config": SMALL_CONFIG, "incremental": False},
+            )
+            done = wait_done(service, job.job_id)
+            assert done.status == "done"
+            assert done.result["seeds"] == 1
         finally:
             service.drain(timeout=10.0)
 

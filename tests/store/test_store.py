@@ -117,7 +117,6 @@ def test_uncacheable_reports_are_not_recorded(store):
     for report in (
         SeedReport(seed=1, crash=crash),
         SeedReport(seed=2, budget_exceeded=True),
-        SeedReport(seed=3, outcome=("o", 3), degraded=True),
         SeedReport(seed=4),  # neither outcome nor skipped
     ):
         store.record_seed_report(SCOPE, report)
@@ -132,9 +131,6 @@ def test_report_is_cacheable_policy():
     assert report_is_cacheable(SeedReport(seed=1, skipped=True))
     assert not report_is_cacheable(SeedReport(seed=1, crash=crash))
     assert not report_is_cacheable(SeedReport(seed=1, budget_exceeded=True))
-    assert not report_is_cacheable(
-        SeedReport(seed=1, outcome=("o", 1), degraded=True)
-    )
     assert not report_is_cacheable(SeedReport(seed=1))
 
 
