@@ -11,13 +11,12 @@ Subcommands mirror the paper's workflow:
   ``--events-out FILE.jsonl`` streams typed campaign events,
   ``--ledger FILE.sqlite`` persists the run + deduplicated findings,
   ``--dashboard`` renders a live single-line status on stderr,
-  ``--seed-budget``/``--checkpoint``/``--chaos`` exercise the fault
-  isolation layer)
+  ``--seed-budget``/``--chaos`` exercise the fault isolation layer;
+  rerunning with the same ``--store`` resumes an interrupted run)
 * ``runs LEDGER``       — list recorded campaign runs
 * ``show-run LEDGER N`` — dump one run row as JSON
 * ``report LEDGER N``   — terminal or ``--html`` report for one run
 * ``compare LEDGER A B``— flag regressions between two runs
-* ``crashes JOURNAL``   — bucketed crash report from a checkpoint journal
 * ``profile FILE``      — per-pass wall time / IR size / marker
   attribution table for one compilation
 * ``asm FILE``          — show the generated assembly for one spec
@@ -163,17 +162,13 @@ def main(argv: list[str] | None = None) -> int:
              "recorded as budget_exceeded skips instead of hanging",
     )
     p_campaign.add_argument(
-        "--checkpoint", metavar="FILE",
-        help="append one JSONL record per finished seed; rerunning with "
-             "the same file replays finished seeds and analyzes the rest",
-    )
-    p_campaign.add_argument(
         "--store", metavar="FILE",
         help="persistent content-addressed artifact store (SQLite): "
              "memoizes compile results, ground-truth executions, "
              "reduction-oracle verdicts and whole per-seed analyses, "
-             "so rerunning the same campaign is near-free and "
-             "byte-identical; a corrupt store degrades to a cold run",
+             "so rerunning the same campaign — or resuming an "
+             "interrupted one — is near-free and byte-identical; a "
+             "corrupt store degrades to a cold run",
     )
     p_campaign.add_argument(
         "--chaos", action="append", metavar="SPEC", default=None,
@@ -181,11 +176,6 @@ def main(argv: list[str] | None = None) -> int:
              "'pass:gvn:raise:3,11' or 'ground_truth:spin:17' "
              "(site:kind[:seeds]; repeatable)",
     )
-
-    p_crashes = sub.add_parser(
-        "crashes", help="summarize crash buckets from a checkpoint journal"
-    )
-    p_crashes.add_argument("journal")
 
     p_runs = sub.add_parser("runs", help="list campaign runs in a ledger")
     p_runs.add_argument("ledger")
@@ -326,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="run the supervised campaign daemon"
     )
     p_serve.add_argument(
-        "data_dir", help="service state directory (SQLite DBs + journals)"
+        "data_dir", help="service state directory (SQLite DBs)"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -340,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
         help="per-job wall-clock timeout (cancelled jobs retry "
-             "with backoff and resume from their journal)",
+             "with backoff and resume from the artifact store)",
     )
     p_serve.add_argument(
         "--retry-cap", type=int, default=3,
@@ -421,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         _campaign(args.programs, args.seed_base,
                   metrics_out=args.metrics_out, show_progress=args.progress,
-                  jobs=args.jobs,
-                  seed_budget=args.seed_budget, checkpoint=args.checkpoint,
+                  jobs=args.jobs, seed_budget=args.seed_budget,
                   chaos_specs=args.chaos, events_out=args.events_out,
                   ledger_path=args.ledger, dashboard=args.dashboard,
                   reduce_findings=args.reduce_findings,
@@ -430,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
                   reduce_budget=args.reduce_budget,
                   interp="ast" if args.no_bytecode else None,
                   window=args.window, store_path=args.store)
-    elif args.command == "crashes":
-        return _crashes(args.journal)
     elif args.command == "runs":
         return _runs(args.ledger, args.config, args.limit)
     elif args.command == "show-run":
@@ -724,7 +711,6 @@ def _campaign(
     show_progress: bool = False,
     jobs: int = 1,
     seed_budget: float | None = None,
-    checkpoint: str | None = None,
     chaos_specs: list[str] | None = None,
     events_out: str | None = None,
     ledger_path: str | None = None,
@@ -791,7 +777,7 @@ def _campaign(
         result = run_campaign(
             n_programs=n_programs, seed_base=seed_base,
             metrics=metrics, jobs=jobs, seed_budget=seed_budget,
-            checkpoint=checkpoint, events=events, interp=interp,
+            events=events, interp=interp,
             window=window, reduction=reduction, store=store,
         )
     finally:
@@ -1015,21 +1001,6 @@ def _compare(
     print(comparison_text(comparison))
     if fail_on_regression and not comparison.ok:
         return 1
-    return 0
-
-
-def _crashes(journal: str) -> int:
-    """``dce-hunt crashes <journal>`` — bucketed crash report."""
-    from .core.resilience import bucket_crashes, read_journal_crashes
-
-    if not os.path.exists(journal):
-        print(f"no such journal: {journal}", file=sys.stderr)
-        return 1
-    crashes = read_journal_crashes(journal)
-    if not crashes:
-        print("no crashes recorded")
-        return 0
-    print(_crash_bucket_table(bucket_crashes(crashes)))
     return 0
 
 

@@ -6,21 +6,18 @@ interest, and accumulates the statistics behind the paper's Tables 1
 and 2 and the §4.1/§4.2 headline numbers.
 
 One seed loop (:func:`run_campaign`) drives every campaign.  It walks
-the seed range in order; journaled and stored seeds replay, and fresh
-seeds arrive as :class:`SeedEnvelope`\\ s from an envelope source — an
-in-process generator at ``jobs=1``, the bounded-window process pool of
+the seed range in order; stored seeds replay, and fresh seeds arrive
+as :class:`SeedEnvelope`\\ s from an envelope source — an in-process
+generator at ``jobs=1``, the bounded-window process pool of
 :mod:`repro.core.parallel` at ``jobs>1`` — so both job counts share
-the journal, store, event and merge code verbatim.
+the store, event and merge code verbatim.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import signal
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -38,7 +35,6 @@ from .ground_truth import compute_ground_truth
 from .markers import instrument_program
 from .primary import build_marker_graph, primary_missed_markers
 from .resilience import (
-    CheckpointJournal,
     CrashEnvelope,
     SeedReport,
     analyze_one_resilient,
@@ -271,9 +267,10 @@ class CampaignCancelled(RuntimeError):
     """A campaign stopped at a seed boundary because its ``cancel``
     hook fired (service job timeout or drain).
 
-    Finished seeds are already journaled/committed when this raises,
-    so rerunning with the same checkpoint resumes exactly where the
-    cancelled run stopped — the same contract as SIGINT/SIGTERM.
+    Finished seeds are already committed to the artifact store when
+    this raises, so rerunning with the same store resumes exactly
+    where the cancelled run stopped — the same contract as an
+    interrupt.
     """
 
     def __init__(self, message: str, seeds_done: int = 0) -> None:
@@ -293,7 +290,6 @@ def run_campaign(
     tracer: Tracer | None = None,
     jobs: int = 1,
     seed_budget: float | None = None,
-    checkpoint: str | None = None,
     events: EventBus | None = None,
     interp: str | None = None,
     window: int | None = None,
@@ -316,7 +312,7 @@ def run_campaign(
     * ``events`` — an :class:`~repro.observability.events.EventBus`
       receiving the typed campaign event stream (campaign_start,
       seed_start, seed_done, finding, crash, budget_exceeded,
-      checkpoint_replayed, campaign_end).  The stream is identical —
+      campaign_end).  The stream is identical —
       modulo timestamps — at every ``jobs`` count: each fresh seed's
       events are recorded into its :class:`SeedEnvelope` and emitted
       in seed order.
@@ -338,12 +334,9 @@ def run_campaign(
     run's :func:`config_fingerprint`.
 
     Fault isolation (:mod:`repro.core.resilience`): per-seed crashes
-    are contained into ``result.crashes`` envelopes, ``seed_budget``
+    are contained into ``result.crashes`` envelopes, and ``seed_budget``
     arms a cooperative wall-clock deadline per seed
-    (``result.budget_exceeded``), and ``checkpoint`` appends one JSONL
-    record per finished seed so an interrupted campaign rerun with the
-    same path replays journaled seeds and analyzes only the rest,
-    reproducing the uninterrupted result.
+    (``result.budget_exceeded``).
 
     ``reduction`` — a :class:`~repro.core.reduction.ReductionQueue`:
     each recorded finding is submitted the moment the differential
@@ -358,17 +351,22 @@ def run_campaign(
     (``store.seeds_skipped``), emitting the exact events a fresh
     analysis would — a warm rerun is byte-identical to a cold one,
     modulo timestamps.  Fresh seeds read through the store's compile
-    and ground-truth memos and their new entries are committed back in
-    seed order.  A checkpoint journal, when both are given, takes
-    precedence for seeds it holds (it alone replays crashes and
-    budget blowups).
+    and ground-truth memos, and each one is committed back — its memo
+    entries and its report in one transaction — before any event,
+    metric or merge observes it.  The store is the resume mechanism:
+    an interrupted campaign rerun with the same store replays the
+    committed seeds and analyzes only the rest, reproducing the
+    uninterrupted result.  Crashed and over-budget seeds are never
+    stored (:func:`~repro.store.artifact.report_is_cacheable`), so a
+    rerun analyzes them again: crashes and injected faults are
+    deterministic and reproduce the same envelopes, and a real
+    wall-clock overrun gets its retry.
 
     ``cancel`` — a zero-argument callable polled at every seed
     boundary; returning ``True`` raises :class:`CampaignCancelled`
-    after the finished seeds have been journaled and committed, so a
-    rerun with the same checkpoint resumes rather than restarts.  The
-    campaign service uses this for per-job wall-clock timeouts and
-    graceful drain.
+    after the finished seeds have been committed, so a rerun with the
+    same store resumes rather than restarts.  The campaign service
+    uses this for per-job wall-clock timeouts and graceful drain.
     """
     if n_programs < 0:
         raise ValueError(f"n_programs must be >= 0, got {n_programs}")
@@ -384,7 +382,6 @@ def run_campaign(
     result.cross_level = {family: CrossLevelStats() for family in FAMILIES}
     tracer = tracer if tracer is not None else current_tracer()
     start = time.perf_counter()
-    journal = CheckpointJournal(checkpoint) if checkpoint else None
     store_scope: str | None = None
     stored_reports: dict[int, SeedReport] = {}
     if store is not None:
@@ -396,11 +393,7 @@ def run_campaign(
         stored_reports = store.load_seed_reports(
             store_scope, seed_base, seed_base + n_programs
         )
-    fresh = [
-        seed for seed in config.seeds
-        if (journal is None or journal.get(seed) is None)
-        and seed not in stored_reports
-    ]
+    fresh = [seed for seed in config.seeds if seed not in stored_reports]
     if jobs == 1:
         envelopes = _local_envelopes(fresh, config, metrics, events, store)
     else:
@@ -419,76 +412,58 @@ def run_campaign(
     with use_tracer(tracer), tracer.span(
         "campaign", programs=n_programs, seed_base=seed_base, jobs=jobs,
         window=window, interp=interp,
-    ) as campaign_span, _signal_flushes(journal):
-        try:
-            for seed in config.seeds:
-                if cancel is not None and cancel():
-                    # finished seeds are journaled/committed; in-flight
-                    # pool shards die with the pool teardown
-                    raise CampaignCancelled(
-                        f"campaign cancelled before seed {seed}",
-                        seeds_done=seed - seed_base,
-                    )
-                report = journal.get(seed) if journal is not None else None
-                if report is not None:
-                    if metrics is not None:
-                        metrics.counter("campaign.checkpoint_replayed").inc()
-                    if events is not None:
-                        events.emit(
-                            ev.CHECKPOINT_REPLAYED, seed=seed,
-                            status=ev.report_status(report),
-                        )
-                elif seed in stored_reports:
-                    # warm replay: the exact events a fresh analysis
-                    # records, so the stream is byte-identical modulo
-                    # timestamps
-                    report = stored_reports[seed]
-                    if metrics is not None:
-                        metrics.counter("store.seeds_skipped").inc()
-                    if journal is not None:
-                        journal.record(report)
-                    if events is not None:
-                        events.emit_all(ev.seed_event_records(report))
-                else:
-                    envelope = next(envelopes)
-                    if envelope.seed != seed:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"seed-order merge broke: expected {seed}, "
-                            f"got {envelope.seed}"
-                        )
-                    report = envelope.report
-                    if journal is not None:
-                        journal.record(report)
-                    if events is not None and envelope.events is not None:
-                        events.emit_all(envelope.events)
-                    if store is not None:
-                        store.commit_seed(store_scope, report, envelope.delta)
-                    if metrics is not None and envelope.metrics is not None:
-                        metrics.merge(envelope.metrics)
-                    if envelope.spans:
-                        tracer.adopt_spans(
-                            envelope.spans, parent_id=campaign_span.span_id
-                        )
-                _merge_report(
-                    result, report, config, metrics, events, reduction
+    ) as campaign_span:
+        for seed in config.seeds:
+            if cancel is not None and cancel():
+                # finished seeds are committed; in-flight pool shards
+                # die with the pool teardown
+                raise CampaignCancelled(
+                    f"campaign cancelled before seed {seed}",
+                    seeds_done=seed - seed_base,
                 )
+            if seed in stored_reports:
+                # warm replay: the exact events a fresh analysis
+                # records, so the stream is byte-identical modulo
+                # timestamps
+                report = stored_reports[seed]
                 if metrics is not None:
-                    _record_tallies(
-                        result, metrics, time.perf_counter() - start
+                    metrics.counter("store.seeds_skipped").inc()
+                if events is not None:
+                    events.emit_all(ev.seed_event_records(report))
+            else:
+                envelope = next(envelopes)
+                if envelope.seed != seed:  # pragma: no cover - defensive
+                    raise RuntimeError(
+                        f"seed-order merge broke: expected {seed}, "
+                        f"got {envelope.seed}"
                     )
-            # reductions overlapped the seed loop; collect them (in
-            # finding order) before the campaign narrates its end
-            drain_reduction(result, reduction, events, metrics)
-            campaign_span.update(
-                completed=len(result.seeds), skipped=len(result.skipped),
-                crashed=len(result.crashes),
-                budget_exceeded=len(result.budget_exceeded),
-            )
-            if events is not None:
-                events.emit(ev.CAMPAIGN_END, **campaign_end_attrs(result))
-        finally:
-            if journal is not None:
-                journal.close()
+                report = envelope.report
+                # durable before anything observes it: an interrupt
+                # raised by an event subscriber or the merge below
+                # never loses a finished seed
+                if store is not None:
+                    store.commit_seed(store_scope, report, envelope.delta)
+                if events is not None and envelope.events is not None:
+                    events.emit_all(envelope.events)
+                if metrics is not None and envelope.metrics is not None:
+                    metrics.merge(envelope.metrics)
+                if envelope.spans:
+                    tracer.adopt_spans(
+                        envelope.spans, parent_id=campaign_span.span_id
+                    )
+            _merge_report(result, report, config, metrics, events, reduction)
+            if metrics is not None:
+                _record_tallies(result, metrics, time.perf_counter() - start)
+        # reductions overlapped the seed loop; collect them (in finding
+        # order) before the campaign narrates its end
+        drain_reduction(result, reduction, events, metrics)
+        campaign_span.update(
+            completed=len(result.seeds), skipped=len(result.skipped),
+            crashed=len(result.crashes),
+            budget_exceeded=len(result.budget_exceeded),
+        )
+        if events is not None:
+            events.emit(ev.CAMPAIGN_END, **campaign_end_attrs(result))
     return result
 
 
@@ -535,8 +510,8 @@ def _merge_report(
     reduction=None,
 ) -> None:
     """Fold one per-seed :class:`SeedReport` into the campaign result
-    (fresh, journaled and stored seeds alike, so all three count
-    crashes/budget identically)."""
+    (fresh and stored seeds alike, so both count crashes/budget
+    identically)."""
     if report.budget_exceeded:
         result.budget_exceeded.append(report.seed)
         if metrics is not None:
@@ -555,38 +530,6 @@ def _merge_report(
         )
         if config.keep_analyses:
             result.analyses.append(report.outcome)
-
-
-#: signals that interrupt a checkpointed campaign: Ctrl-C and the
-#: `systemd`/container stop signal must leave the same flushed journal
-_FLUSH_SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-
-@contextmanager
-def _signal_flushes(journal: CheckpointJournal | None):
-    """While a checkpointed campaign runs on the main thread, make
-    SIGINT *and* SIGTERM flush the journal to disk before the usual
-    :class:`KeyboardInterrupt` propagates (interruption safety: a
-    container stop is as survivable as a Ctrl-C).  Inside the campaign
-    service the loop runs on worker threads, so this is a no-op there —
-    the daemon owns both signals and drains instead."""
-    if journal is None or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _flush_and_interrupt(signum, frame):
-        journal.flush()
-        raise KeyboardInterrupt
-
-    previous = {
-        sig: signal.signal(sig, _flush_and_interrupt)
-        for sig in _FLUSH_SIGNALS
-    }
-    try:
-        yield
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
 
 
 def _record_tallies(

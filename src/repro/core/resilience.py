@@ -1,4 +1,4 @@
-"""Fault isolation for campaigns: crash containment, budgets, checkpoints.
+"""Fault isolation for campaigns: crash containment and budgets.
 
 The paper's campaigns survive hundreds of thousands of Csmith programs
 only because no single pathological input can take the harness down.
@@ -15,10 +15,6 @@ This module gives our campaign engine the same property:
   (:mod:`repro.budget`) polled at pass boundaries and at the
   interpreter's step check, so runaway seeds become ``budget_exceeded``
   skips rather than hangs.
-* :class:`CheckpointJournal` appends one JSONL record per finished
-  seed; rerunning a campaign with the same journal replays finished
-  seeds from disk and analyzes only the rest, reproducing the
-  uninterrupted result.
 
 The chaos harness (:mod:`repro.testing.chaos`) injects faults at the
 phase hooks below so tests and CI can prove all of this end to end.
@@ -26,10 +22,7 @@ phase hooks below so tests and CI can prove all of this end to end.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
-import pickle
 from dataclasses import dataclass, field, replace
 
 from .. import budget
@@ -322,118 +315,3 @@ def service_crash_envelope(job_id: str, exc: BaseException) -> CrashEnvelope:
     """
     envelope = crash_envelope(-1, SERVE_PHASE, exc)
     return replace(envelope, repro=f"resubmit job {job_id} via POST /api/v1")
-
-
-# -- checkpoint journal ----------------------------------------------------
-
-
-class CheckpointJournal:
-    """Append-only JSONL journal of finished seeds.
-
-    One record per seed, written and flushed as soon as the seed
-    finishes, so a SIGINT (or a crash of the campaign process itself)
-    loses at most the seed in flight.  Completed outcomes are carried
-    as base64-pickled payloads inside the JSON record — heavyweight,
-    but it makes resumed campaigns *reproduce* the uninterrupted
-    :class:`~repro.core.corpus.CampaignResult` without re-analyzing
-    journaled seeds.  A truncated trailing line (interrupt mid-write)
-    is skipped on load and the seed re-analyzed.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._records: dict[int, SeedReport] = {}
-        if os.path.exists(path):
-            self._load()
-        self._file = open(path, "a")
-
-    def _load(self) -> None:
-        with open(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    report = _report_from_record(record)
-                except (ValueError, KeyError, pickle.UnpicklingError):
-                    continue  # torn tail write; re-analyze that seed
-                self._records[report.seed] = report
-
-    def get(self, seed: int) -> SeedReport | None:
-        return self._records.get(seed)
-
-    def seeds(self) -> frozenset[int]:
-        return frozenset(self._records)
-
-    def record(self, report: SeedReport) -> None:
-        self._records[report.seed] = report
-        json.dump(_record_from_report(report), self._file)
-        self._file.write("\n")
-        self.flush()
-
-    def flush(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def _record_from_report(report: SeedReport) -> dict:
-    if report.budget_exceeded:
-        status = "budget"
-    elif report.crash is not None:
-        status = "crash"
-    elif report.outcome is None:
-        status = "skipped"
-    else:
-        status = "ok"
-    record: dict = {"seed": report.seed, "status": status}
-    if report.crash is not None:
-        record["crash"] = report.crash.to_dict()
-    if report.outcome is not None:
-        record["outcome"] = base64.b64encode(
-            pickle.dumps(report.outcome)
-        ).decode("ascii")
-    return record
-
-
-def _report_from_record(record: dict) -> SeedReport:
-    status = record["status"]
-    report = SeedReport(seed=record["seed"])
-    if status == "budget":
-        report.budget_exceeded = True
-    elif status == "crash":
-        report.crash = CrashEnvelope.from_dict(record["crash"])
-    elif status == "skipped":
-        report.skipped = True
-    elif status == "ok":
-        report.outcome = pickle.loads(base64.b64decode(record["outcome"]))
-    else:
-        raise KeyError(f"unknown journal status {status!r}")
-    return report
-
-
-def read_journal_crashes(path: str) -> list[CrashEnvelope]:
-    """All crash envelopes recorded in a checkpoint journal, in seed
-    order (powers ``dce-hunt crashes <journal>``)."""
-    crashes: list[CrashEnvelope] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if record.get("status") == "crash":
-                crashes.append(CrashEnvelope.from_dict(record["crash"]))
-    return sorted(crashes, key=lambda e: e.seed)

@@ -92,9 +92,6 @@ class LiveDashboard:
                 f"from seed {event.attrs.get('seed_base', '?')}"
             )
 
-    def _on_checkpoint_replayed(self, event: Event) -> None:
-        self._seed_finished(event, event.attrs.get("status", "replayed"))
-
     def _on_seed_done(self, event: Event) -> None:
         detail = ""
         if "markers" in event.attrs:

@@ -2,8 +2,8 @@
 
 A campaign narrates itself as a sequence of typed events — one
 ``campaign_start``, a ``seed_start``/outcome pair per seed (the
-outcome is ``seed_done``, ``crash`` or ``budget_exceeded``;
-checkpoint-replayed seeds emit ``checkpoint_replayed`` instead),
+outcome is ``seed_done``, ``crash`` or ``budget_exceeded``; seeds
+replayed from the artifact store emit the same pair),
 ``finding`` events as the differential layer surfaces them,
 ``reduction.round``/``reduction.commit`` progress when findings are
 reduced, and one ``campaign_end``.  The :class:`EventBus` fans each event out to
@@ -21,9 +21,9 @@ in seed order, assigning fresh sequence numbers and timestamps.  Event attribute
 durations — wall time lives solely in the ``ts`` field so "equal
 modulo timestamps" is a per-line field drop, not a heuristic.
 
-The JSONL file format mirrors the checkpoint journal's crash
-tolerance: :func:`read_events_jsonl` skips blank and torn trailing
-lines (an interrupt mid-write loses at most the event in flight).
+The JSONL file format is crash tolerant: :func:`read_events_jsonl`
+skips blank and torn trailing lines (an interrupt mid-write loses at
+most the event in flight).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ SEED_DONE = "seed_done"
 FINDING = "finding"
 CRASH = "crash"
 BUDGET_EXCEEDED = "budget_exceeded"
-CHECKPOINT_REPLAYED = "checkpoint_replayed"
 #: finding reduction progress (one per delta round / committed shrink;
 #: emitted in finding order when the campaign drains its reduction
 #: queue, so the stream stays deterministic at any --reduce-jobs)
@@ -57,7 +56,6 @@ EVENT_TYPES = frozenset({
     FINDING,
     CRASH,
     BUDGET_EXCEEDED,
-    CHECKPOINT_REPLAYED,
     REDUCTION_ROUND,
     REDUCTION_COMMIT,
     CAMPAIGN_END,
@@ -167,8 +165,8 @@ class EventBus:
 
 
 def report_status(report) -> str:
-    """The journal-compatible status string for a
-    :class:`~repro.core.resilience.SeedReport`."""
+    """The status string (``ok``/``skipped``/``crash``/``budget``)
+    for a :class:`~repro.core.resilience.SeedReport`."""
     if report.budget_exceeded:
         return "budget"
     if report.crash is not None:
@@ -224,8 +222,8 @@ def seed_event_records(report) -> list[tuple[str, dict[str, Any]]]:
 class JsonlEventWriter:
     """Bus subscriber appending one JSON object per event.
 
-    Lines are flushed per event (mirroring the checkpoint journal's
-    interruption safety), and keys are sorted so equal events
+    Lines are flushed per event (an interrupt loses at most the
+    event in flight), and keys are sorted so equal events
     serialize to equal bytes.
     """
 
@@ -259,8 +257,7 @@ def read_events_jsonl(path_or_file: str | TextIO) -> list[Event]:
     """Parse an events JSONL file, skipping blank and torn lines.
 
     A campaign interrupted mid-write leaves at most one truncated
-    trailing line; like the checkpoint journal loader, the reader
-    drops anything that fails to parse instead of failing the whole
+    trailing line; the reader drops anything that fails to parse instead of failing the whole
     file.
     """
     if isinstance(path_or_file, str):

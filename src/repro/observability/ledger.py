@@ -47,7 +47,7 @@ drain leaves the table unchanged, which is what makes the service's
 drain-then-resume determinism contract testable
 (:meth:`RunLedger.lifecycle_digest`).
 
-Writes are wrapped in :func:`repro.store.retry.retry_locked`: several
+Writes are wrapped in :func:`repro.store.sqlite.retry_locked`: several
 service worker threads plus concurrent ``report`` invocations share
 one ledger file, so bounded ``database is locked`` contention is
 absorbed rather than raised.
@@ -64,7 +64,7 @@ from typing import Any
 
 from typing import TYPE_CHECKING
 
-from ..store.retry import retry_locked
+from ..store.sqlite import connect, retry_locked
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # heavyweight sibling packages import this module's
@@ -361,12 +361,10 @@ class RunLedger:
         self.path = path
         #: bounded busy-retry rounds absorbed by this connection
         self.lock_retries = 0
-        self._conn = sqlite3.connect(path)
+        # service worker threads and a `report` running against a live
+        # ledger write concurrently: connect() waits out short locks
+        self._conn = connect(path)
         self._conn.row_factory = sqlite3.Row
-        # first line of defense against concurrent writers (service
-        # worker threads, a `report` running against a live ledger);
-        # retry_locked is the bounded second line
-        self._conn.execute("PRAGMA busy_timeout = 5000")
 
         def _init() -> None:
             self._conn.executescript(_SCHEMA)

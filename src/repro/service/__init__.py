@@ -6,8 +6,9 @@ JSON HTTP API, run through the existing parallel engine under a
 supervisor with per-job timeouts and bounded backoff retries, and
 fold their findings into a durable case-lifecycle table
 (``found -> reduced -> bisected -> reported``).  Everything that
-matters lives in SQLite and checkpoint journals, so the daemon can be
-killed at any instant and resumed without losing or duplicating work.
+matters lives in SQLite (finished seeds in the artifact store), so the
+daemon can be killed at any instant and resumed without losing or
+duplicating work.
 """
 
 from .core import CampaignService, ServiceDraining, validate_payload

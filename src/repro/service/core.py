@@ -4,19 +4,19 @@
 
     DATA/
       service.sqlite     jobs + run ledger + case lifecycle (one file)
-      artifacts.sqlite   the PR 9 content-addressed artifact store
-      journals/          one checkpoint journal per job
+      artifacts.sqlite   the content-addressed artifact store
 
 and executes jobs through the existing engine: a job's seeds run
-``run_campaign`` with a per-job :class:`CheckpointJournal` and the
-shared artifact store, then the findings *fold* into the ledger's case
-lifecycle table (``found`` cases keyed by structural fingerprint,
-optionally advanced to ``reduced``/``bisected`` when the job asks).
+``run_campaign`` over the shared artifact store, then the findings
+*fold* into the ledger's case lifecycle table (``found`` cases keyed
+by structural fingerprint, optionally advanced to
+``reduced``/``bisected`` when the job asks).
 
 Determinism contract — drain-then-resume equals uninterrupted:
 
-* finished seeds land in the job's journal before anything else
-  observes them, so a resumed job replays them bit-identically;
+* finished seeds are committed to the artifact store before anything
+  else observes them, so a retried or reset job replays them
+  bit-identically (crashed and over-budget seeds are analyzed again);
 * lifecycle folding is idempotent per ``(job, case)`` — the job id is
   the dedup key, so re-folding after a crash, drain, or mid-fold kill
   changes nothing;
@@ -25,9 +25,8 @@ Determinism contract — drain-then-resume equals uninterrupted:
   digest against an uninterrupted run.
 
 Every mutation is crash-safe *at rest*: the job table, ledger, and
-store are SQLite; the journal is append-only fsynced JSONL.  Killing
-the daemon at any instant and restarting resumes with nothing lost
-and nothing double-counted.
+store are SQLite transactions.  Killing the daemon at any instant and
+restarting resumes with nothing lost and nothing double-counted.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .supervisor import Supervisor
 
 SERVICE_DB = "service.sqlite"
 ARTIFACTS_DB = "artifacts.sqlite"
-JOURNAL_DIR = "journals"
 
 #: payload keys every job type accepts
 _COMMON_KEYS = {
@@ -127,7 +125,7 @@ class CampaignService:
         events: EventBus | None = None,
     ) -> None:
         self.data_dir = data_dir
-        os.makedirs(os.path.join(data_dir, JOURNAL_DIR), exist_ok=True)
+        os.makedirs(data_dir, exist_ok=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events
         self.started_at = time.time()
@@ -157,11 +155,6 @@ class CampaignService:
     @property
     def artifacts_path(self) -> str:
         return os.path.join(self.data_dir, ARTIFACTS_DB)
-
-    def journal_path(self, job_id: str) -> str:
-        return os.path.join(
-            self.data_dir, JOURNAL_DIR, f"job-{job_id}.jsonl"
-        )
 
     def start(self) -> None:
         self.supervisor.start()
@@ -227,7 +220,7 @@ class CampaignService:
         }
         # one store connection per job execution: the ArtifactStore is
         # not thread-safe across jobs, but per-file write contention is
-        # absorbed by busy_timeout + retry_locked
+        # absorbed by the shared SQLite connection policy
         store = ArtifactStore(self.artifacts_path, metrics=self.metrics)
         started = time.perf_counter()
         try:
@@ -242,7 +235,6 @@ class CampaignService:
                     metrics=self.metrics,
                     jobs=engine_jobs,
                     seed_budget=payload.get("seed_budget"),
-                    checkpoint=self.journal_path(job.job_id),
                     interp=None,
                     reduction=reduction,
                     store=store if not store.disabled else None,

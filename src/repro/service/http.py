@@ -27,9 +27,8 @@ only touch SQLite-backed state, so a handler crash (or an injected
 chaos hook: liveness must stay truthful while everything else burns.
 
 :func:`serve` wires the daemon: SIGTERM and SIGINT both trigger a
-graceful drain — finish in-flight jobs, flush journals and ledger,
-stop accepting — mirroring satellite requirement "handle SIGTERM
-everywhere SIGINT is handled".
+graceful drain — finish in-flight jobs, commit the ledger, stop
+accepting — so a container stop is as survivable as a Ctrl-C.
 """
 
 from __future__ import annotations

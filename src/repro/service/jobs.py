@@ -6,8 +6,8 @@ list, a ``campaign`` job runs a full ``run_campaign`` sweep (and
 records a ledger run row).  The table *is* the queue: the daemon owns
 no in-memory state that matters, so killing it at any instant loses
 nothing — queued jobs are claimed again after restart, running jobs
-are reset to queued (their checkpoint journals make the re-run a
-resume, not a restart).
+are reset to queued (seeds they finished are in the artifact store,
+so the re-run is a resume, not a restart).
 
 Idempotent submission by content hash: a job's id is the sha256 of its
 canonical payload, so re-POSTing the same request returns the existing
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from ..store.retry import retry_locked
+from ..store.sqlite import connect, retry_locked
 
 JOB_TYPES = ("seeds", "campaign")
 JOB_STATUSES = ("queued", "running", "done", "failed")
@@ -102,9 +102,8 @@ class JobStore:
         self.lock_retries = 0
         self._lock = threading.RLock()
         # one connection for all daemon threads, serialized by _lock
-        self._conn = sqlite3.connect(path, check_same_thread=False)
+        self._conn = connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA busy_timeout = 5000")
         self._write(lambda: self._conn.executescript(_SCHEMA))
 
     # -- plumbing ------------------------------------------------------
@@ -268,8 +267,8 @@ class JobStore:
     def reset_running(self, now: float | None = None) -> int:
         """Crash recovery at daemon start: anything still marked
         running belongs to a dead process — back to the queue (attempt
-        counts preserved; the jobs' checkpoint journals turn the re-run
-        into a resume)."""
+        counts preserved; the seeds they finished replay from the
+        artifact store, so the re-run is a resume)."""
         stamp = time.time() if now is None else now
 
         def _txn() -> int:

@@ -6,7 +6,8 @@ hands them to a runner callable.  The robustness contract lives here:
 * **Per-job wall-clock timeout** — a watchdog timer sets the job's
   cancel event; the campaign engine polls it at seed boundaries and
   raises :class:`~repro.core.corpus.CampaignCancelled` with all
-  finished seeds already journaled, so the retried job *resumes*.
+  finished seeds already committed to the artifact store, so the
+  retried job *resumes*.
   The ``worker_hang`` chaos site sits under an armed
   :func:`repro.budget.deadline` of the same length, so an injected
   busy-spin (a hung worker that never reaches a seed boundary)

@@ -24,7 +24,7 @@ from .artifact import (
     program_text_key,
     seed_scope_fingerprint,
 )
-from .retry import is_locked_error, retry_locked
+from .sqlite import is_locked_error, retry_locked
 
 __all__ = [
     "ArtifactStore",

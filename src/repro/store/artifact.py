@@ -20,9 +20,9 @@ performs is memoized in a table keyed by the hashes of its inputs:
     reduction-oracle verdicts keyed by the existing
     ``sha256(predicate.cache_key, printed text)`` candidate key.
 ``seed_analyses``
-    fully analyzed seeds per campaign scope; a warm rerun replays the
-    pickled :class:`~repro.core.resilience.SeedReport` instead of
-    re-analyzing.
+    fully analyzed seeds per campaign scope; a warm rerun — or the
+    resume of an interrupted campaign — replays the pickled
+    :class:`~repro.core.resilience.SeedReport` instead of re-analyzing.
 
 Failure policy: the store must never take a campaign down.  Every
 public method is guarded — the first SQLite/zlib/pickle/JSON error
@@ -47,8 +47,8 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
-from ..testing.chaos import InjectedFault, trigger
-from .retry import retry_locked
+from ..testing.chaos import InjectedFault, current_plan, trigger
+from .sqlite import connect, retry_locked
 
 SCHEMA_VERSION = 1
 
@@ -136,12 +136,17 @@ def report_is_cacheable(report) -> bool:
 
     ``ok`` (complete) and ``skipped`` (step-limit) seeds
     replay identically anywhere; crashes and wall-clock budget blowups
-    are transient and must be retried cold.
+    are transient and must be retried cold.  A seed targeted by an
+    installed chaos ``skip`` fault is never stored either: its
+    step-limit skip is injected, and replaying it would carry the
+    fault into later clean runs.
     """
+    plan = current_plan()
     return (
         report.crash is None
         and not report.budget_exceeded
         and (report.skipped or report.outcome is not None)
+        and (plan is None or not plan.skips(report.seed))
     )
 
 
@@ -241,19 +246,14 @@ class ArtifactStore:
         self.disabled = False
         self._con: sqlite3.Connection | None = None
         try:
-            if read_only:
-                self._con = sqlite3.connect(
-                    f"file:{path}?mode=ro", uri=True
-                )
-            else:
-                self._con = sqlite3.connect(path)
+            self._con = connect(path, read_only=read_only)
+            if not read_only:
                 self._con.executescript(_SCHEMA)
                 self._con.execute(
                     "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(SCHEMA_VERSION)),
                 )
                 self._con.commit()
-            self._con.execute("PRAGMA busy_timeout = 5000")
             # a corrupt file should surface at open, not mid-campaign
             self._con.execute("SELECT COUNT(*) FROM sqlite_master").fetchone()
         except _STORE_ERRORS:
@@ -505,7 +505,9 @@ class ArtifactStore:
             self._fail()
 
     def commit_seed(self, scope_fp: str, report, delta: StoreDelta) -> None:
-        """Apply one merged seed's new entries and durably commit."""
+        """Apply one finished seed's new entries and report and durably
+        commit — before the seed loop lets anything observe the seed,
+        so the store is the campaign's resume point."""
         self.apply_delta(delta)
         self.record_seed_report(scope_fp, report)
         self.commit()

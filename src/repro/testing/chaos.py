@@ -107,6 +107,13 @@ class FaultPlan:
                 return fault
         return None
 
+    def skips(self, seed: int) -> bool:
+        """Whether a ``skip`` fault targets ``seed`` (at any site)."""
+        return any(
+            fault.kind == "skip" and (not fault.seeds or seed in fault.seeds)
+            for fault in self.faults
+        )
+
 
 def parse_fault(text: str) -> Fault:
     """Parse the CLI's ``site:kind[:seed,seed,...]`` fault syntax.

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import parallel as parallel_mod
 from repro.core.corpus import run_campaign
-from repro.observability import EventBus, MetricsRegistry
+from repro.observability import EventBus, MetricsRegistry, strip_timestamps
+from repro.store import open_store
 from repro.testing import chaos
 
 PROGRAMS = 6
@@ -107,11 +108,10 @@ def test_parallel_reports_identical_faults(chaos_seq, chaos_par):
     assert par.crash_buckets == seq.crash_buckets
     assert par.by_level == seq.by_level
     assert par.findings == seq.findings
-    for name in ("campaign.crashes", "campaign.checkpoint_replayed"):
-        assert (
-            par_metrics.counter(name).value
-            == seq_metrics.counter(name).value
-        ), name
+    assert (
+        par_metrics.counter("campaign.crashes").value
+        == seq_metrics.counter("campaign.crashes").value
+    )
 
 
 def test_budget_exceeded_spin_seed_is_contained():
@@ -177,8 +177,8 @@ def test_worker_death_is_bisected_to_killer_seed(monkeypatch):
     assert metrics.counter("campaign.worker_restarts").value >= 1
 
 
-def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
+def test_store_resume_reproduces_uninterrupted_run(tmp_path):
+    path = str(tmp_path / "store.sqlite")
     plan = chaos.FaultPlan(
         (chaos.Fault(site="analyze", seeds=frozenset({SEED_BASE + 1})),)
     )
@@ -196,44 +196,53 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path):
             if self.remaining == 0:
                 raise KeyboardInterrupt
 
+    def run(metrics=None, stop=None, use_store=True, **kwargs):
+        """One campaign over the store; returns the result and its
+        event stream without timestamps."""
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        if stop is not None:
+            bus.subscribe(stop)
+        store = open_store(path, metrics=metrics) if use_store else None
+        try:
+            result = run_campaign(
+                n_programs=4, seed_base=SEED_BASE, keep_analyses=True,
+                events=bus, metrics=metrics, store=store, **kwargs,
+            )
+        finally:
+            if store is not None:
+                store.close()
+        return result, strip_timestamps(seen)
+
     chaos.install_plan(plan)
     try:
-        bus = EventBus()
-        bus.subscribe(StopAfter(2))
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                n_programs=4, seed_base=SEED_BASE, checkpoint=path,
-                events=bus,
-            )
+            run(stop=StopAfter(2))
         metrics = MetricsRegistry()
-        resumed = run_campaign(
-            n_programs=4, seed_base=SEED_BASE, checkpoint=path,
-            keep_analyses=True, metrics=metrics,
-        )
-        uninterrupted = run_campaign(
-            n_programs=4, seed_base=SEED_BASE, keep_analyses=True,
-        )
+        resumed, resumed_events = run(metrics)
+        uninterrupted, uninterrupted_events = run(use_store=False)
     finally:
         chaos.clear_plan()
-    # the two journaled seeds replayed from disk; only the rest re-ran
-    assert metrics.counter("campaign.checkpoint_replayed").value == 2
+    # the finished clean seed replayed from the store; the crashed seed
+    # is never stored, so it re-ran and reproduced its envelope
+    assert metrics.counter("store.seeds_skipped").value == 1
     assert resumed.seeds == uninterrupted.seeds
     assert resumed.skipped == uninterrupted.skipped
     assert resumed.crashes == uninterrupted.crashes
     assert resumed.by_level == uninterrupted.by_level
     assert resumed.findings == uninterrupted.findings
     assert resumed.total_markers == uninterrupted.total_markers
-    # a parallel rerun over the same journal agrees too
+    assert resumed_events == uninterrupted_events
+    # a parallel rerun over the same store agrees too
     chaos.install_plan(plan)
     par_metrics = MetricsRegistry()
     try:
-        par = run_campaign(
-            n_programs=4, seed_base=SEED_BASE, checkpoint=path,
-            keep_analyses=True, metrics=par_metrics, jobs=2,
-        )
+        par, par_events = run(par_metrics, jobs=2)
     finally:
         chaos.clear_plan()
     assert par.seeds == uninterrupted.seeds
     assert par.crashes == uninterrupted.crashes
     assert par.by_level == uninterrupted.by_level
-    assert par_metrics.counter("campaign.checkpoint_replayed").value == 4
+    assert par_events == uninterrupted_events
+    assert par_metrics.counter("store.seeds_skipped").value == 3

@@ -1,9 +1,5 @@
-"""Fault-isolation units: crash envelopes, fault plans, the
-checkpoint journal, the verify-ir gate, and the guarded reduction
-oracle."""
-
-import json
-import os
+"""Fault-isolation units: crash envelopes, fault plans, the verify-ir
+gate, and the guarded reduction oracle."""
 
 import pytest
 
@@ -12,13 +8,10 @@ from repro.compilers.pipeline import PassPipelineError
 from repro.core.corpus import ProgramOutcome, default_specs, run_campaign
 from repro.core.reduction import count_statements, reduce_program
 from repro.core.resilience import (
-    CheckpointJournal,
     CrashEnvelope,
-    SeedReport,
     analyze_one_resilient,
     bucket_crashes,
     crash_envelope,
-    read_journal_crashes,
     worker_death_envelope,
 )
 from repro.lang import parse_program
@@ -183,90 +176,6 @@ def test_cli_rejects_negative_programs(capsys):
     with pytest.raises(SystemExit):
         main(["campaign", "--programs", "-5"])
     assert "--programs must be >= 0" in capsys.readouterr().err
-
-
-# -- checkpoint journal ----------------------------------------------------
-
-
-def _reports():
-    ok = analyze_one_resilient(0, default_specs())
-    crash = SeedReport(
-        seed=1, crash=CrashEnvelope(1, "generate", "E", "m", "E@f")
-    )
-    budget = SeedReport(seed=2, budget_exceeded=True)
-    skipped = SeedReport(seed=3, skipped=True)
-    return [ok, crash, budget, skipped]
-
-
-def test_journal_roundtrip(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    journal = CheckpointJournal(path)
-    reports = _reports()
-    for report in reports:
-        journal.record(report)
-    journal.close()
-
-    reloaded = CheckpointJournal(path)
-    assert reloaded.seeds() == {0, 1, 2, 3}
-    for original in reports:
-        back = reloaded.get(original.seed)
-        assert back.skipped == original.skipped
-        assert back.budget_exceeded == original.budget_exceeded
-        assert (back.crash is None) == (original.crash is None)
-        if original.crash is not None:
-            assert back.crash == original.crash
-        if original.outcome is not None:
-            assert back.outcome.seed == original.outcome.seed
-            assert (
-                back.outcome.analysis.outcomes.keys()
-                == original.outcome.analysis.outcomes.keys()
-            )
-    reloaded.close()
-
-    assert [e.seed for e in read_journal_crashes(path)] == [1]
-
-
-def test_journal_tolerates_torn_tail_line(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    journal = CheckpointJournal(path)
-    journal.record(SeedReport(seed=0, skipped=True))
-    journal.record(SeedReport(seed=1, skipped=True))
-    journal.close()
-    with open(path) as handle:
-        content = handle.read()
-    with open(path, "w") as handle:
-        handle.write(content[: len(content) // 2 + len(content) // 4])
-
-    reloaded = CheckpointJournal(path)
-    assert reloaded.get(0) is not None  # intact record survives
-    assert reloaded.get(1) is None  # torn record re-analyzed
-    reloaded.close()
-
-
-def test_journal_records_are_json_lines(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    journal = CheckpointJournal(path)
-    journal.record(
-        SeedReport(seed=9, crash=CrashEnvelope(9, "analyze", "E", "m", "E@f"))
-    )
-    journal.close()
-    with open(path) as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    assert lines == [
-        {
-            "seed": 9,
-            "status": "crash",
-            "crash": {
-                "seed": 9,
-                "phase": "analyze",
-                "exc_type": "E",
-                "message": "m",
-                "bucket": "E@f",
-                "traceback": [],
-                "repro": "",
-            },
-        }
-    ]
 
 
 # -- verify-ir gate --------------------------------------------------------

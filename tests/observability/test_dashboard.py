@@ -22,7 +22,8 @@ def drive(bus):
              bucket="ValueError@passes/gvn.py:10")
     bus.emit("seed_start", seed=12)
     bus.emit("budget_exceeded", seed=12)
-    bus.emit("checkpoint_replayed", seed=13, status="ok")
+    bus.emit("seed_start", seed=13)
+    bus.emit("seed_done", seed=13, status="ok")
     bus.emit("campaign_end", completed=2, findings=1, crashed=1)
 
 

@@ -1,19 +1,20 @@
 """Drain-then-resume determinism (the service's core contract).
 
-Property: interrupt a job after *any* prefix of its journal, restart
-the service, let the retried job resume from the journal — the final
-case-lifecycle table is byte-identical (modulo timestamps, which the
-digest excludes) to an uninterrupted run.  Pinned at engine
-parallelism ``jobs ∈ {1, 4}``.
+Property: interrupt a job after *any* prefix of its committed seeds,
+restart the service, let the retried job resume from the artifact
+store — the final case-lifecycle table is byte-identical (modulo
+timestamps, which the digest excludes) to an uninterrupted run.
+Pinned at engine parallelism ``jobs ∈ {1, 4}``.
 
-The interruption is real: the first service is drained mid-job via
-the supervisor's cancel event, and the journal is additionally
-truncated to the chosen prefix — simulating a kill that landed before
-later seeds were written.
+The interruption is simulated at rest: the job runs to completion,
+then the store's ``seed_analyses`` rows from the chosen seed on are
+deleted and the job is put back as running — the state a kill that
+landed before later seeds were committed leaves behind.
 """
 
 from __future__ import annotations
 
+import sqlite3
 import time
 
 import pytest
@@ -56,10 +57,10 @@ def run_uninterrupted(data_dir, engine_jobs):
         return ledger.lifecycle_digest(), job.job_id
 
 
-def run_with_prefix_interrupt(data_dir, engine_jobs, keep_lines):
-    """Run the job to completion once, truncate its journal to
-    ``keep_lines`` lines and reset it as if the daemon died there,
-    then let a fresh service resume it."""
+def run_with_prefix_interrupt(data_dir, engine_jobs, keep):
+    """Run the job to completion once, drop every stored seed from
+    ``keep`` on and reset the job as if the daemon died there, then
+    let a fresh service resume it."""
     first = CampaignService(str(data_dir))
     first.start()
     try:
@@ -71,16 +72,13 @@ def run_with_prefix_interrupt(data_dir, engine_jobs, keep_lines):
         first.drain(timeout=15.0)
         first.close()
 
-    # rewind the world to "killed after keep_lines journal records":
-    # truncate the journal and put the job back as running (a crashed
-    # daemon's claim), exactly what reset_running recovers from
-    journal = first.journal_path(job.job_id)
-    with open(journal) as handle:
-        lines = handle.readlines()
-    with open(journal, "w") as handle:
-        handle.writelines(lines[:keep_lines])
-    import sqlite3
-
+    # rewind the world to "killed after the first keep seeds were
+    # committed": forget the later seeds and put the job back as
+    # running (a crashed daemon's claim), what reset_running recovers
+    conn = sqlite3.connect(first.artifacts_path)
+    with conn:
+        conn.execute("DELETE FROM seed_analyses WHERE seed >= ?", (keep,))
+    conn.close()
     conn = sqlite3.connect(first.jobs.path)
     with conn:
         conn.execute(
@@ -106,24 +104,24 @@ def run_with_prefix_interrupt(data_dir, engine_jobs, keep_lines):
 def test_any_prefix_resume_matches_uninterrupted(tmp_path, engine_jobs):
     control, _ = run_uninterrupted(tmp_path / "control", engine_jobs)
     # every prefix would be 10+ full campaign runs; three probes —
-    # empty journal, mid-campaign, nearly-complete — cover the
+    # empty store, mid-campaign, nearly-complete — cover the
     # boundary cases (full sweep lives in the e2e drill's kill test)
     for keep in (0, 5, 9):
         resumed = run_with_prefix_interrupt(
             tmp_path / f"prefix-{keep}", engine_jobs, keep
         )
         assert resumed == control, (
-            f"lifecycle diverged after resume from journal "
+            f"lifecycle diverged after resume from stored "
             f"prefix {keep} (jobs={engine_jobs})"
         )
 
 
 def test_refold_of_finished_job_changes_nothing(tmp_path):
-    """The degenerate prefix: the whole journal survives, only the
+    """The degenerate prefix: every stored seed survives, only the
     job status was lost.  The re-run replays every seed from the
-    journal and re-folds; the lifecycle digest must not move."""
+    store and re-folds; the lifecycle digest must not move."""
     digest, job_id = run_uninterrupted(tmp_path / "data", 1)
     resumed = run_with_prefix_interrupt(
-        tmp_path / "refold", 1, keep_lines=10_000
+        tmp_path / "refold", 1, keep=10_000
     )
     assert resumed == digest

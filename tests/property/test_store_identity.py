@@ -14,6 +14,7 @@ from repro.core.corpus import run_campaign
 from repro.generator import GeneratorConfig
 from repro.observability import EventBus, MetricsRegistry, strip_timestamps
 from repro.store import ArtifactStore
+from repro.testing import chaos
 
 #: small programs keep a 4-run matrix affordable on one CPU
 CONFIG = GeneratorConfig(
@@ -83,6 +84,31 @@ def test_warm_rerun_is_byte_identical(baseline, cold, store_path, jobs):
     assert _counter(snapshot, "campaign.compilations") == 0
     assert _counter(snapshot, "interp.steps") == 0
     assert _counter(snapshot, "store.errors") == 0
+
+
+def test_chaos_skip_is_not_replayed_into_clean_runs(baseline, tmp_path):
+    """An injected step-limit skip is a fault, not a result: a clean
+    warm rerun over a store that a chaos run filled equals the clean
+    cold run."""
+    skip_seed = SEED_BASE + 1
+    assert skip_seed in baseline[0].seeds
+    path = str(tmp_path / "chaos.sqlite")
+    chaos.install_plan(chaos.FaultPlan((
+        chaos.Fault(
+            site="ground_truth", kind="skip", seeds=frozenset({skip_seed})
+        ),
+    )))
+    try:
+        with ArtifactStore(path) as store:
+            faulted, _, _ = _run(store=store)
+    finally:
+        chaos.clear_plan()
+    assert skip_seed in faulted.skipped
+    with ArtifactStore(path) as store:
+        result, snapshot, events = _run(store=store)
+    assert result == baseline[0]
+    assert events == baseline[2]
+    assert _counter(snapshot, "store.seeds_skipped") == PROGRAMS - 1
 
 
 @pytest.mark.parametrize("jobs", [1, 4])

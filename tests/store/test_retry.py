@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from repro.store.retry import (
+from repro.store.sqlite import (
     DEFAULT_ATTEMPTS,
     is_locked_error,
     retry_locked,

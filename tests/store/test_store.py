@@ -21,6 +21,7 @@ from repro.store import (
     seed_scope_fingerprint,
 )
 from repro.store.artifact import report_is_cacheable
+from repro.testing import chaos
 
 
 @pytest.fixture
@@ -132,6 +133,15 @@ def test_report_is_cacheable_policy():
     assert not report_is_cacheable(SeedReport(seed=1, crash=crash))
     assert not report_is_cacheable(SeedReport(seed=1, budget_exceeded=True))
     assert not report_is_cacheable(SeedReport(seed=1))
+    # an injected step-limit skip is a fault, not a result
+    chaos.install_plan(chaos.FaultPlan((
+        chaos.Fault(site="ground_truth", kind="skip", seeds=frozenset({1})),
+    )))
+    try:
+        assert not report_is_cacheable(SeedReport(seed=1, skipped=True))
+        assert report_is_cacheable(SeedReport(seed=2, skipped=True))
+    finally:
+        chaos.clear_plan()
 
 
 # -- sessions and deltas ---------------------------------------------------
